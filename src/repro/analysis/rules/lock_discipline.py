@@ -1,9 +1,9 @@
 """``lock-discipline``: guarded attributes stay guarded everywhere.
 
-In every class that takes ``with self._lock:`` anywhere (the fleet
-manager, ``SeverityCache``, the obs registries), an attribute accessed
-under the lock in one method and without it in another is a data race
-waiting for the first concurrent caller. From the per-class lock tables
+In every class that takes ``with self._lock:`` anywhere
+(``SeverityCache``, the obs registries, tracer and event log), an
+attribute accessed under the lock in one method and without it in
+another is a data race waiting for the first concurrent caller. From the per-class lock tables
 in the module summaries, the rule computes:
 
 * the *guarded set* — attributes with at least one access lexically

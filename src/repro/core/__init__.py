@@ -23,7 +23,6 @@ from .execution import (
     SerialBackend,
     ThreadBackend,
     build_tasks,
-    map_ordered,
     resolve_backend,
     resolve_workers,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "build_tasks",
-    "map_ordered",
     "resolve_backend",
     "resolve_workers",
     "SeverityCache",

@@ -45,8 +45,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..detectors import DetectorConfig
-from ..detectors.base import Detector, FamilyEvaluator, build_family_evaluators
-from ..detectors.holt_winters import batch_severities
+from ..detectors.base import FamilyEvaluator, build_family_evaluators
 from ..obs import get_provider
 from ..timeseries import TimeSeries
 
@@ -87,26 +86,6 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def map_ordered(fn, items: Sequence, workers: int = 1) -> list:
-    """Apply ``fn`` to every item, returning results in *item* order.
-
-    One worker (or one item) runs inline; more fan out over a thread
-    pool. This is the in-process dispatch primitive the fleet layer
-    (``repro.fleet``) uses to run independent shards concurrently:
-    unlike the extraction backends there is no process option, because
-    the units carry live stateful services (classifier, warm streams)
-    that must not be copied into workers.
-    """
-    items = list(items)
-    effective = resolve_workers(workers)
-    if effective <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(effective, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # Task model
 # ----------------------------------------------------------------------
@@ -123,62 +102,6 @@ class ExtractionTask(abc.ABC):
     @abc.abstractmethod
     def run(self, series: TimeSeries) -> np.ndarray:
         """Severity columns of shape ``(len(series), len(indices))``."""
-
-
-@dataclass(frozen=True)
-class ConfigTask(ExtractionTask):
-    """A single detector configuration -> a single severity column."""
-
-    index: int
-    detector: Detector
-
-    @property
-    def indices(self) -> Tuple[int, ...]:
-        return (self.index,)
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return (self.detector.feature_name,)
-
-    @property
-    def kind(self) -> str:
-        return self.detector.kind
-
-    def run(self, series: TimeSeries) -> np.ndarray:
-        return np.asarray(
-            self.detector.severities(series), dtype=np.float64
-        ).reshape(-1, 1)
-
-
-@dataclass(frozen=True)
-class HoltWintersBatchTask(ExtractionTask):
-    """One vectorised pass over a season group of HW configurations.
-
-    Kept for callers that compile their own task lists; the standard
-    :func:`build_tasks` path now reaches the same ``batch_severities``
-    sweep through the holt-winters :class:`FamilyTask`.
-    """
-
-    indices: Tuple[int, ...]
-    names: Tuple[str, ...]
-    alphas: Tuple[float, ...]
-    betas: Tuple[float, ...]
-    gammas: Tuple[float, ...]
-    season_points: int
-
-    kind = "holt-winters"
-
-    def run(self, series: TimeSeries) -> np.ndarray:
-        return np.asarray(
-            batch_severities(
-                series.values,
-                np.asarray(self.alphas),
-                np.asarray(self.betas),
-                np.asarray(self.gammas),
-                self.season_points,
-            ),
-            dtype=np.float64,
-        )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ fleet:
 
 * :class:`FleetManager` — owns one service per KPI; batch dispatch,
   fault isolation (quarantine with exponential backoff → degraded),
-  staggered retraining, fleet checkpoints (:meth:`FleetManager.save` /
+  serial retraining, fleet checkpoints (:meth:`FleetManager.save` /
   :meth:`FleetManager.restore`), and rollups.
 * :class:`Scheduler` — consistent-hash KPI→shard assignment plus
   bounded per-KPI ingest queues with explicit backpressure policies

@@ -4,7 +4,7 @@ Three subcommands::
 
     repro-fleet run --kpis 8 --weeks 4 --bootstrap-weeks 2 --save fleet/
         # generate N synthetic KPIs, bootstrap each, stream the rest
-        # through the fleet (pump + staggered retrains), print the
+        # through the fleet (pump + periodic retrains), print the
         # rollup table, optionally checkpoint the fleet directory
 
     repro-fleet run --csv pv.csv --csv srt.csv ...
@@ -69,8 +69,6 @@ def _build_fleet(args, points_per_week: int) -> FleetManager:
         queue_depth=args.queue_depth,
         queue_policy=args.queue_policy,
         batch_points=args.batch_points,
-        max_concurrent_retrains=args.max_concurrent_retrains,
-        dispatch_workers=args.dispatch_workers,
         service_factory=_service_factory(args, points_per_week),
     )
 
@@ -112,7 +110,7 @@ def _csv_scenario(paths: List[str], interval: Optional[int]) -> List[TimeSeries]
 
 def _stream(fleet: FleetManager, live: dict, args) -> int:
     """Offer every KPI's live points in lockstep chunks, pumping as we
-    go; staggered retrains fire every ``--retrain-every`` points."""
+    go; a fleet retrain fires every ``--retrain-every`` points."""
     n_events = 0
     offsets = {kpi_id: 0 for kpi_id in live}
     since_retrain = 0
@@ -252,8 +250,6 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-policy", default="drop-oldest",
                         choices=["drop-oldest", "drop-newest", "block"])
     parser.add_argument("--batch-points", type=int, default=64)
-    parser.add_argument("--dispatch-workers", type=int, default=1)
-    parser.add_argument("--max-concurrent-retrains", type=int, default=2)
     parser.add_argument("--retrain-every", type=int, default=0,
                         help="retrain after this many streamed points "
                              "per KPI (0 = never)")

@@ -1,4 +1,4 @@
-"""The fleet manager: N concurrent KPI monitors, fault-isolated.
+"""The fleet manager: N KPI monitors in one thread, fault-isolated.
 
 Opprentice's deployment story (§5.8) is per-KPI, but a real monitoring
 team runs hundreds of KPIs at once. :class:`FleetManager` owns one
@@ -7,8 +7,7 @@ layer around them:
 
 * **Sharded dispatch** — KPIs are consistent-hashed onto shards
   (:class:`~repro.fleet.scheduler.Scheduler`); :meth:`pump` drains each
-  KPI's bounded ingest queue in batches and can run independent shards
-  concurrently through :func:`~repro.core.execution.map_ordered`.
+  KPI's bounded ingest queue in batches, shard after shard.
 * **Fault isolation** — an exception from one KPI's detector bank or
   classifier quarantines *that KPI only*: its failing point is dropped
   (counted), the rest of its batch goes back to the queue front, and it
@@ -17,9 +16,8 @@ layer around them:
   and drops points at offer time until an operator :meth:`revive`\\ s
   it. The other KPIs never see any of this — their alert streams are
   bit-identical to a fleet without the fault.
-* **Staggered retraining** — :meth:`retrain` runs at most
-  ``max_concurrent_retrains`` KPIs per wave, so the weekly retraining
-  spike (§5.8: minutes per KPI) never stalls the whole fleet at once.
+* **Serial retraining** — :meth:`retrain` refits its target KPIs one
+  after another; a failed refit quarantines only that KPI.
 * **Crash recovery** — :meth:`save` writes a fleet directory (manifest
   + per-KPI model and service checkpoints); :meth:`restore` rebuilds
   the fleet mid-run, reproducing the remaining alert stream exactly.
@@ -29,9 +27,9 @@ layer around them:
   exportable document.
 
 Determinism: dispatch order is shard index, then registration order
-within the shard, then queue order — independent of dict hashing and
-of the worker count (``map_ordered`` preserves item order, and shards
-share no state).
+within the shard, then queue order — independent of dict hashing. The
+fleet runs in its caller's thread; :mod:`repro.serve` scales out with
+one fleet per shard process instead.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.execution import map_ordered
 from ..core.persistence import (
     load_model,
     load_service_checkpoint,
@@ -52,6 +49,7 @@ from ..core.persistence import (
 from ..core.service import AlertEvent, MonitoringService
 from ..obs import estimate_percentile, get_provider, merge_snapshots
 from ..timeseries import TimeSeries
+from ..timeseries.windows import AnomalyWindow
 from .scheduler import Scheduler
 from .status import (
     ACTIVE,
@@ -111,8 +109,6 @@ class FleetManager:
         backoff_base: int = 1,
         backoff_cap: int = 64,
         max_retries: int = 5,
-        max_concurrent_retrains: int = 2,
-        dispatch_workers: int = 1,
         service_factory: Optional[ServiceFactory] = None,
     ):
         if batch_points < 1:
@@ -123,8 +119,6 @@ class FleetManager:
             )
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if max_concurrent_retrains < 1:
-            raise ValueError("max_concurrent_retrains must be >= 1")
         self._scheduler = Scheduler(
             n_shards=n_shards,
             queue_depth=queue_depth,
@@ -134,8 +128,6 @@ class FleetManager:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.max_retries = max_retries
-        self.max_concurrent_retrains = max_concurrent_retrains
-        self.dispatch_workers = dispatch_workers
         self._service_factory = service_factory
         self._kpis: Dict[str, _KpiHandle] = {}
         self._cycles = 0
@@ -267,10 +259,9 @@ class FleetManager:
     ) -> List[AlertEvent]:
         """One dispatch cycle: drain every KPI's queue in batches.
 
-        Shards run through :func:`~repro.core.execution.map_ordered`
-        (``dispatch_workers`` > 1 overlaps them); within a shard KPIs
-        run in registration order. Returns every alert event raised this
-        cycle, in deterministic dispatch order.
+        Shards run in index order and, within a shard, KPIs in
+        registration order. Returns every alert event raised this
+        cycle, in that dispatch order.
         """
         obs = get_provider()
         limit = (
@@ -278,26 +269,15 @@ class FleetManager:
             if max_points_per_kpi is None
             else max_points_per_kpi
         )
-        shards = [
-            (index, kpis)
-            for index, kpis in enumerate(self._scheduler.kpis_by_shard())
-            if kpis
-        ]
+        shards = [kpis for kpis in self._scheduler.kpis_by_shard() if kpis]
         with obs.span(
             "fleet.pump", n_kpis=len(self._kpis), n_shards=len(shards)
         ) as span:
-            results = map_ordered(
-                lambda shard: [
-                    self._pump_kpi(kpi_id, limit) for kpi_id in shard[1]
-                ],
-                shards,
-                workers=self.dispatch_workers,
-            )
             events = [
                 event
-                for shard_events in results
-                for kpi_events in shard_events
-                for event in kpi_events
+                for shard in shards
+                for kpi_id in shard
+                for event in self._pump_kpi(kpi_id, limit)
             ]
             span.set("n_events", len(events))
         self._cycles += 1
@@ -417,15 +397,25 @@ class FleetManager:
         ).inc()
 
     # ------------------------------------------------------------------
-    # Labels + staggered retraining
+    # Labels + retraining
     # ------------------------------------------------------------------
-    def submit_labels(self, kpi_id: str, windows) -> None:
-        self._kpis[kpi_id].service.submit_labels(windows)
+    def submit_labels(
+        self, kpi_id: str, windows: Sequence[AnomalyWindow]
+    ) -> int:
+        """Label windows for one KPI, clipped to the points its service
+        has actually ingested (the operator cannot label the future).
+        Returns how many windows were submitted."""
+        service = self._kpis[kpi_id].service
+        horizon = service.history_length
+        visible = [w for w in windows if w.end <= horizon]
+        if visible:
+            service.submit_labels(visible)
+        return len(visible)
 
     def retrain(
         self, kpi_ids: Optional[Sequence[str]] = None
     ) -> Dict[str, Optional[float]]:
-        """Retrain KPIs in waves of ``max_concurrent_retrains``.
+        """Retrain KPIs one after another.
 
         Targets every non-degraded KPI with pending points unless
         ``kpi_ids`` narrows the set. A retraining failure quarantines
@@ -441,28 +431,15 @@ class FleetManager:
         ]
         results: Dict[str, Optional[float]] = {}
         with obs.span("fleet.retrain", n_kpis=len(targets)):
-            gauge = obs.gauge(
-                "repro_fleet_retraining",
-                "KPIs retraining in the current wave",
-            )
-            for begin in range(0, len(targets), self.max_concurrent_retrains):
-                wave = targets[begin:begin + self.max_concurrent_retrains]
-                gauge.set(len(wave))
-                outcomes = map_ordered(
-                    self._retrain_one, wave, workers=len(wave)
-                )
-                results.update(dict(zip(wave, outcomes)))
-            gauge.set(0)
+            for kpi_id in targets:
+                handle = self._kpis[kpi_id]
+                try:
+                    results[kpi_id] = handle.service.retrain()
+                except Exception as error:  # repro: disable=api-hygiene — fault isolation: a failed retrain quarantines the KPI instead of aborting the fleet's retrain
+                    self._on_failure(kpi_id, handle, error)
+                    results[kpi_id] = None
         self._refresh_state_gauges()
         return results
-
-    def _retrain_one(self, kpi_id: str) -> Optional[float]:
-        handle = self._kpis[kpi_id]
-        try:
-            return handle.service.retrain()
-        except Exception as error:  # repro: disable=api-hygiene — fault isolation: a failed retrain quarantines the KPI instead of aborting the fleet's wave
-            self._on_failure(kpi_id, handle, error)
-            return None
 
     # ------------------------------------------------------------------
     # Rollups
@@ -617,8 +594,6 @@ class FleetManager:
                     "backoff_base": self.backoff_base,
                     "backoff_cap": self.backoff_cap,
                     "max_retries": self.max_retries,
-                    "max_concurrent_retrains": self.max_concurrent_retrains,
-                    "dispatch_workers": self.dispatch_workers,
                 },
                 "cycles": self._cycles,
                 "kpis": entries,
@@ -632,7 +607,6 @@ class FleetManager:
         directory: Union[str, Path],
         *,
         service_factory: Optional[ServiceFactory] = None,
-        dispatch_workers: Optional[int] = None,
         kpi_ids: Optional[Sequence[str]] = None,
     ) -> "FleetManager":
         """Rebuild a fleet from a :meth:`save` directory.
@@ -649,7 +623,9 @@ class FleetManager:
         serve plane's shard processes use this to load exactly the
         KPIs their consistent-hash slice owns out of one shared fleet
         directory. Unknown ids raise (a partition that silently loses
-        KPIs would drop their traffic on the floor).
+        KPIs would drop their traffic on the floor). Config keys the
+        manifest holds beyond the constructor's (older fleets wrote
+        thread-pool options) are ignored.
         """
         root = Path(directory)
         manifest = json.loads((root / "fleet.json").read_text())
@@ -683,12 +659,6 @@ class FleetManager:
             backoff_base=config["backoff_base"],
             backoff_cap=config["backoff_cap"],
             max_retries=config["max_retries"],
-            max_concurrent_retrains=config["max_concurrent_retrains"],
-            dispatch_workers=(
-                config["dispatch_workers"]
-                if dispatch_workers is None
-                else dispatch_workers
-            ),
             service_factory=service_factory,
         )
         obs = get_provider()

@@ -2,39 +2,34 @@
 
 §5.8's runtime numbers are one-shot measurements; the ROADMAP's
 north-star asks whether they *hold* under sustained multi-KPI load —
-retraining waves, quarantine churn, backpressure drops — over simulated
-weeks. This package is the harness that finds out:
+retraining rounds, quarantine churn, backpressure drops — over
+simulated weeks. This package is the harness that finds out:
 
-* :class:`SoakHarness` — replays Table 1 synthetic profiles into a
-  :class:`~repro.fleet.FleetManager` on a simulated clock, drives
-  staggered retraining waves and (optionally) injected faults, and
-  records kpi-tagged metrics snapshots at simulated-time checkpoints;
-* :class:`FaultInjectingService` — a :class:`~repro.core.
-  MonitoringService` that fails every Nth ingest, exercising the
-  fleet's quarantine/recovery lifecycle under load;
+* :class:`SoakHarness` — the one soak loop: replays a deterministic
+  scenario on a simulated clock, drives periodic label + retrain
+  rounds, and records kpi-tagged metrics snapshots at simulated-time
+  checkpoints. It drives one of two targets:
+
+  * :class:`FleetTarget` — an in-process
+    :class:`~repro.fleet.FleetManager`, with optional
+    :class:`FaultInjectingService` quarantine churn;
+  * :class:`HttpTarget` — a running ``repro-serve`` plane
+    (``repro-loadgen --target``), with optional shard kill /
+    graceful-restart drills;
 * :class:`ScenarioSpec` / :func:`build_scenario` — the deterministic
   scenario description the harness, the ``repro-serve`` shards and the
-  networked replay all regenerate bit-identically from seeds;
-* :class:`ReplayClient` — the networked twin: streams the same
-  scenario at a ``repro-serve`` plane over HTTP (``repro-loadgen
-  --target``), records the same SLO inputs client-side, and can drill
-  shard kills / graceful restarts mid-stream;
+  HTTP replay all regenerate bit-identically from seeds;
 * the ``repro-loadgen`` CLI (``python -m repro.loadgen``) — the
   entry point the CI ``slo-gate`` and ``networked-slo-gate`` jobs run;
   both document flavours feed ``repro-obs slo`` (see
   :mod:`repro.obs.slo`).
 """
 
-from .client import (
-    HttpTarget,
-    ReplayClient,
-    ReplayConfig,
-    ReplayResult,
-    TargetError,
-)
+from .client import HttpTarget, TargetError
 from .harness import (
     DEFAULT_ALERT_DELAY_BUCKETS,
     FaultInjectingService,
+    FleetTarget,
     InjectedFault,
     SoakConfig,
     SoakHarness,
@@ -51,6 +46,7 @@ from .scenario import (
 __all__ = [
     "DEFAULT_ALERT_DELAY_BUCKETS",
     "FaultInjectingService",
+    "FleetTarget",
     "InjectedFault",
     "SoakConfig",
     "SoakHarness",
@@ -61,8 +57,5 @@ __all__ = [
     "build_scenario_kpi",
     "kpi_identifier",
     "HttpTarget",
-    "ReplayClient",
-    "ReplayConfig",
-    "ReplayResult",
     "TargetError",
 ]

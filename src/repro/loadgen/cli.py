@@ -6,14 +6,14 @@ Usage::
     repro-loadgen --target http://127.0.0.1:8123 --kpis 8 --out replay.json
     repro-obs slo --targets slo/targets.toml --snapshot soak.json
 
-Without ``--target`` the CLI streams the configured simulated span
-through an in-process :class:`~repro.loadgen.SoakHarness`. With
-``--target`` it becomes the networked replay client: the *same*
-deterministic scenario is regenerated locally and streamed at a
-running ``repro-serve`` plane over HTTP (one NDJSON batch per
-simulated tick), with optional mid-stream fault drills
-(``--kill-shard`` SIGKILLs a shard process and asserts the supervisor
-recovered it; ``--restart-shard`` exercises the graceful path).
+Both forms run the same :class:`~repro.loadgen.SoakHarness` loop over
+the configured simulated span. Without ``--target`` it drives an
+in-process fleet; with ``--target`` the *same* deterministic scenario
+is regenerated locally and streamed at a running ``repro-serve`` plane
+over HTTP (one NDJSON batch per simulated tick), with optional
+mid-stream fault drills (``--kill-shard`` SIGKILLs a shard process and
+asserts the supervisor recovered it; ``--restart-shard`` exercises the
+graceful path).
 
 Either way the CLI enables observability unconditionally (a soak
 without metrics would gate on nothing), prints a one-line summary, and
@@ -31,10 +31,10 @@ import json
 import sys
 from typing import List, Optional
 
+from ..fleet.status import FleetStatus
 from ..obs import enable
-from .client import ReplayClient, ReplayConfig, TargetError
+from .client import TargetError
 from .harness import SoakConfig, SoakHarness
-from .scenario import ScenarioSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,77 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _main_replay(args) -> int:
-    try:
-        config = ReplayConfig(
-            target=args.target,
-            scenario=ScenarioSpec(
-                n_kpis=args.kpis,
-                weeks=args.weeks,
-                bootstrap_weeks=args.bootstrap_weeks,
-                profiles=tuple(args.profiles),
-                seed_offset=args.seed_offset,
-                dataset=args.dataset,
-            ),
-            checkpoint_every=args.checkpoint_every,
-            retrain_every=args.retrain_every,
-            points_per_second=args.points_per_second,
-            max_wall_seconds=args.max_wall_seconds,
-            kill_shard=args.kill_shard,
-            kill_after_batches=args.kill_after_batches,
-            restart_shard=args.restart_shard,
-            restart_after_batches=args.restart_after_batches,
-        )
-        enable()
-        result = ReplayClient(config).run()
-    except (ValueError, TargetError) as error:
-        print(f"repro-loadgen: {error}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result.document, handle, indent=None, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        summary = dict(result.document)
-        for bulky in ("checkpoints", "alerts", "fleet"):
-            del summary[bulky]
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        drill = ""
-        if result.recovered is not None:
-            drill = (
-                f", fault drill {'recovered' if result.recovered else 'NOT RECOVERED'}"
-            )
-        print(
-            f"replay: {result.points_offered} points "
-            f"({result.accepted} accepted, {result.rejected} rejected) "
-            f"over {result.sim_seconds / 3600.0:.1f} simulated hours in "
-            f"{result.wall_seconds:.1f}s wall "
-            f"({len(result.document['checkpoints'])} checkpoints, "
-            f"{result.alerts_opened} alerts{drill})"
-        )
-        if args.out:
-            print(f"replay document written to {args.out}")
-    if result.recovered is False:
-        print(
-            "repro-loadgen: fault drill did not recover the shard",
-            file=sys.stderr,
-        )
-        return 4
-    if not result.completed:
-        print(
-            "repro-loadgen: wall budget expired before the simulated "
-            "span finished",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.target:
-        return _main_replay(args)
     try:
         config = SoakConfig(
             n_kpis=args.kpis,
@@ -228,33 +159,54 @@ def main(argv: Optional[List[str]] = None) -> int:
             trees=args.trees,
             diagnose=args.diagnose,
             seed_offset=args.seed_offset,
+            target=args.target,
+            kill_shard=args.kill_shard,
+            kill_after_batches=args.kill_after_batches,
+            restart_shard=args.restart_shard,
+            restart_after_batches=args.restart_after_batches,
         )
         enable()
-        harness = SoakHarness(config)
-        result = harness.run()
-    except ValueError as error:
+        result = SoakHarness(config).run()
+    except (ValueError, TargetError) as error:
         print(f"repro-loadgen: {error}", file=sys.stderr)
         return 2
+    document = result.document
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result.document, handle, indent=None, sort_keys=True)
+            json.dump(document, handle, indent=None, sort_keys=True)
             handle.write("\n")
     if args.json:
-        summary = dict(result.document)
-        del summary["checkpoints"]  # the bulky part lives in --out
+        # The bulky parts live in --out.
+        summary = {
+            key: value
+            for key, value in document.items()
+            if key not in ("checkpoints", "alerts")
+        }
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        print(harness.fleet.status().render())
+        print(FleetStatus.from_dict(document["fleet"]).render())
+        drill = ""
+        if result.recovered is not None:
+            drill = (
+                f", fault drill {'recovered' if result.recovered else 'NOT RECOVERED'}"
+            )
         print(
-            f"soak: {result.points_offered} points over "
-            f"{result.sim_seconds / 3600.0:.1f} simulated hours in "
+            f"{document['mode']}: {result.points_offered} points "
+            f"({result.accepted} accepted, {result.rejected} rejected) "
+            f"over {result.sim_seconds / 3600.0:.1f} simulated hours in "
             f"{result.wall_seconds:.1f}s wall "
-            f"({len(result.document['checkpoints'])} checkpoints, "
+            f"({len(document['checkpoints'])} checkpoints, "
             f"{result.alerts_opened} alerts, "
-            f"{result.quarantines} quarantines)"
+            f"{result.quarantines} quarantines{drill})"
         )
         if args.out:
-            print(f"soak document written to {args.out}")
+            print(f"{document['mode']} document written to {args.out}")
+    if result.recovered is False:
+        print(
+            "repro-loadgen: fault drill did not recover the shard",
+            file=sys.stderr,
+        )
+        return 4
     if not result.completed:
         print(
             "repro-loadgen: wall budget expired before the simulated "

@@ -1,28 +1,25 @@
-"""``repro-loadgen --target``: replay a scenario over HTTP.
+"""The HTTP soak target: a running ``repro-serve`` plane.
 
-The networked twin of :class:`~repro.loadgen.harness.SoakHarness`: the
-same deterministic scenario (see :mod:`repro.loadgen.scenario`) is
-regenerated *client-side* and its live tail streamed to a running
-``repro-serve`` plane — one newline-delimited ``POST /ingest/batch``
-per simulated tick (the gcd of the KPI intervals), so the byte stream
-a given server sees is a pure function of the scenario spec. Two
-replays of the same spec against two fresh servers send identical
-request sequences; that is what makes kill-recovery A/B comparisons
+:class:`HttpTarget` is the networked target of
+:class:`~repro.loadgen.harness.SoakHarness` (``repro-loadgen
+--target``). The harness regenerates the deterministic scenario
+client-side (see :mod:`repro.loadgen.scenario`) and this target
+streams its live tail at the plane — one newline-delimited ``POST
+/ingest/batch`` per simulated tick, so the byte stream a given server
+sees is a pure function of the scenario spec. Two replays of the same
+spec against two fresh servers send identical request sequences; that
+is what makes kill-recovery A/B comparisons
 (``tools/soak_alerts_diff.py``) meaningful.
 
-Client-side the replay records the same SLO inputs the in-process soak
-does — ``repro_loadgen_points_offered_total{kpi}`` and
-``repro_alert_delay_points{kpi}`` (delays attributed from the alert
-events each batch response carries, against the client's own
-ground-truth windows) — and at every checkpoint merges its snapshot
-with the server's ``GET /metrics`` rollup (fleet + serve metrics, all
-shards). The resulting document is checkpoint-compatible with the soak
-document, so the *same* ``slo/targets.toml`` burn-rate gate judges a
-real networked run.
+Delays are attributed client-side from the alert events each batch
+response carries, and every harness checkpoint merges the client's
+snapshot with the server's ``GET /metrics`` rollup (fleet + serve
+metrics, all shards), so the *same* ``slo/targets.toml`` burn-rate gate
+judges a real networked run.
 
 Fault drills: ``kill_shard``/``kill_after_batches`` SIGKILLs a shard
-process mid-stream (pid discovered via ``GET /status``) and the replay
-then asserts the supervisor re-forked it;
+process mid-stream (pid discovered via ``GET /status``) and the final
+status then checks that the supervisor re-forked it;
 ``restart_shard``/``restart_after_batches`` exercises the graceful
 ``POST /shards/<i>/restart`` path instead. Outcomes land in the
 document (``fault``, ``recovered``) for the CI gate.
@@ -32,20 +29,12 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import os
 import signal
-import time
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from ..obs import combine_snapshots, get_provider
-from .harness import DEFAULT_ALERT_DELAY_BUCKETS
-from .scenario import ScenarioSpec, build_scenario
-
-SECONDS_PER_WEEK = 7 * 24 * 3600
+from ..timeseries.windows import AnomalyWindow
 
 
 class TargetError(RuntimeError):
@@ -53,18 +42,46 @@ class TargetError(RuntimeError):
 
 
 class HttpTarget:
-    """A keep-alive JSON client for one ``repro-serve`` base URL."""
+    """A keep-alive JSON client for one ``repro-serve`` base URL.
 
-    def __init__(self, target: str, timeout: float = 120.0):
+    Construction runs the preflight: the server must be alive and
+    serving every one of ``kpi_ids`` — a spec mismatch would stream
+    points into the void.
+    """
+
+    def __init__(
+        self,
+        target: str,
+        kpi_ids: Sequence[str],
+        *,
+        kill_shard: int = -1,
+        kill_after_batches: int = 0,
+        restart_shard: int = -1,
+        restart_after_batches: int = 0,
+        timeout: float = 120.0,
+    ):
         parsed = urlsplit(target)
         if parsed.scheme != "http" or not parsed.hostname:
             raise ValueError(
                 f"--target must look like http://host:port, got {target!r}"
             )
+        self.url = target
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
+        self.kill_shard = kill_shard
+        self.restart_shard = restart_shard
+        self._fault_due = (
+            kill_after_batches
+            if kill_shard >= 0
+            else restart_after_batches
+            if restart_shard >= 0
+            else 0
+        )
+        self.fault: Optional[dict] = None
+        self.batches = 0
         self._conn: Optional[http.client.HTTPConnection] = None
+        self._preflight(kpi_ids)
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
@@ -101,371 +118,136 @@ class HttpTarget:
             parsed = {}
         return response.status, parsed
 
+    def _get(self, path: str) -> dict:
+        status, document = self.request("GET", path)
+        if status != 200:
+            raise TargetError(f"{self.url}{path} answered {status}")
+        return document
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    """A networked replay run: scenario + cadences + fault drill."""
-
-    target: str
-    scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
-    #: Simulated seconds between metrics checkpoints.
-    checkpoint_every: float = 3600.0
-    #: Simulated seconds between label-submission + retrain waves
-    #: (0 disables retraining).
-    retrain_every: float = 6.0 * 3600.0
-    #: Real points/second pacing; 0 streams as fast as possible.
-    points_per_second: float = 0.0
-    #: Wall-clock budget in real seconds; 0 is unbounded.
-    max_wall_seconds: float = 0.0
-    #: SIGKILL this shard process after ``kill_after_batches`` batch
-    #: posts (-1 disables).
-    kill_shard: int = -1
-    kill_after_batches: int = 0
-    #: Gracefully restart this shard instead (-1 disables).
-    restart_shard: int = -1
-    restart_after_batches: int = 0
-
-    def validate(self) -> None:
-        self.scenario.validate()
-        if self.checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be > 0")
-        if self.kill_shard >= 0 and self.kill_after_batches < 1:
-            raise ValueError("kill_after_batches must be >= 1")
-        if self.restart_shard >= 0 and self.restart_after_batches < 1:
-            raise ValueError("restart_after_batches must be >= 1")
-
-
-@dataclass
-class ReplayResult:
-    """What a replay produced (``document`` is the on-disk form)."""
-
-    points_offered: int
-    accepted: int
-    rejected: int
-    alerts_opened: int
-    sim_seconds: float
-    wall_seconds: float
-    completed: bool
-    #: None when no fault drill ran; else whether the shard came back.
-    recovered: Optional[bool]
-    document: dict = field(repr=False, default_factory=dict)
-
-
-class ReplayClient:
-    """Stream one scenario at a serve plane and record the document."""
-
-    def __init__(self, config: ReplayConfig):
-        config.validate()
-        self.config = config
-        self.target = HttpTarget(config.target)
-        kpis = build_scenario(config.scenario)
-        self._intervals = {kpi.kpi_id: kpi.interval for kpi in kpis}
-        self._live = {kpi.kpi_id: kpi.live_values for kpi in kpis}
-        self._windows = {kpi.kpi_id: list(kpi.windows) for kpi in kpis}
-        self._window_begins = {
-            kpi.kpi_id: [w.begin for w in kpi.windows] for kpi in kpis
-        }
-        self._alerts: Dict[str, List[dict]] = {
-            kpi.kpi_id: [] for kpi in kpis
-        }
-
-    # ------------------------------------------------------------------
-    # Server conversations
-    # ------------------------------------------------------------------
-    def _preflight(self) -> dict:
-        """The server must be alive and serving exactly our scenario's
-        KPIs — a spec mismatch would stream points into the void."""
-        status, _ = self.target.request("GET", "/healthz")
+    def _post(self, path: str, body: bytes) -> dict:
+        status, reply = self.request("POST", path, body)
         if status != 200:
             raise TargetError(
-                f"{self.config.target}/healthz answered {status}"
+                f"{path} answered {status}: {reply.get('error', reply)}"
             )
-        status, document = self.target.request("GET", "/status")
-        if status != 200:
-            raise TargetError(
-                f"{self.config.target}/status answered {status}"
-            )
+        return reply
+
+    def _preflight(self, kpi_ids: Sequence[str]) -> None:
+        self._get("/healthz")
         served = {
-            kpi["kpi_id"] for kpi in document.get("fleet", {}).get("kpis", [])
+            kpi["kpi_id"]
+            for kpi in self._get("/status").get("fleet", {}).get("kpis", [])
         }
-        wanted = set(self._intervals)
-        missing = sorted(wanted - served)
+        missing = sorted(set(kpi_ids) - served)
         if missing:
             raise TargetError(
                 f"server is not serving {len(missing)} scenario KPIs "
                 f"(e.g. {missing[:3]}); was it started with the same "
                 f"--kpis/--profiles/--seed-offset?"
             )
-        return document
 
-    def _post_batch(self, points: List[Tuple[str, float]]) -> dict:
+    # ------------------------------------------------------------------
+    # The soak-target surface
+    # ------------------------------------------------------------------
+    def post(
+        self, points: List[Tuple[str, float]]
+    ) -> Tuple[int, int, List[dict]]:
+        """One ``/ingest/batch`` (none for an empty tick); a due fault
+        drill fires right after the batch that made it due."""
+        if not points:
+            return 0, 0, []
         body = "\n".join(
             json.dumps({"kpi": kpi_id, "value": value},
                        separators=(",", ":"))
             for kpi_id, value in points
         ).encode("utf-8")
-        status, reply = self.target.request("POST", "/ingest/batch", body)
+        status, reply = self.request("POST", "/ingest/batch", body)
         if status not in (200, 429):
             raise TargetError(
                 f"/ingest/batch answered {status}: "
                 f"{reply.get('error', reply)}"
             )
-        return reply
+        self.batches += 1
+        if self.fault is None and self._fault_due and (
+            self.batches >= self._fault_due
+        ):
+            self.fault = self._inject_fault()
+        return (
+            reply.get("accepted", 0),
+            reply.get("rejected", 0),
+            reply.get("events", []),
+        )
 
-    def _retrain_wave(self) -> None:
-        """Mirror the soak's operator loop: submit every ground-truth
-        window (the server clips to what each service has ingested),
-        then run a staggered retrain wave across all shards."""
-        for kpi_id, windows in self._windows.items():
-            if not windows:
+    def retrain(self, windows: Dict[str, List[AnomalyWindow]]) -> None:
+        """Submit every ground-truth window (each shard's fleet clips
+        to what its KPIs have ingested), then retrain all shards."""
+        for kpi_id, kpi_windows in windows.items():
+            if not kpi_windows:
                 continue
             body = json.dumps(
                 {
                     "kpi": kpi_id,
-                    "windows": [[w.begin, w.end] for w in windows],
+                    "windows": [[w.begin, w.end] for w in kpi_windows],
                 }
             ).encode("utf-8")
-            status, reply = self.target.request("POST", "/labels", body)
-            if status != 200:
-                raise TargetError(
-                    f"/labels({kpi_id}) answered {status}: "
-                    f"{reply.get('error', reply)}"
-                )
-        status, reply = self.target.request("POST", "/retrain", b"{}")
-        if status != 200:
-            raise TargetError(
-                f"/retrain answered {status}: {reply.get('error', reply)}"
-            )
+            self._post("/labels", body)
+        self._post("/retrain", b"{}")
 
-    def _server_snapshot(self) -> dict:
-        status, snapshot = self.target.request("GET", "/metrics")
-        if status != 200:
-            raise TargetError(f"/metrics answered {status}")
-        return snapshot
+    def snapshot(self) -> dict:
+        return self._get("/metrics")
 
-    def _shard_pid(self, index: int) -> int:
-        status, document = self.target.request("GET", "/status")
-        if status != 200:
-            raise TargetError(f"/status answered {status}")
-        for shard in document.get("shards", []):
-            if shard.get("shard") == index:
-                return int(shard["pid"])
-        raise TargetError(f"no shard {index} in /status")
+    def drain(self) -> List[dict]:
+        """Nothing to flush: every shard drains its queues per batch."""
+        return []
 
-    def _inject_fault(self) -> dict:
-        config = self.config
-        if config.kill_shard >= 0:
-            pid = self._shard_pid(config.kill_shard)
-            os.kill(pid, signal.SIGKILL)
-            return {
-                "type": "kill", "shard": config.kill_shard, "pid": pid,
-                "after_batches": config.kill_after_batches,
-            }
-        status, reply = self.target.request(
-            "POST", f"/shards/{config.restart_shard}/restart", b""
-        )
-        if status != 200:
-            raise TargetError(
-                f"/shards/{config.restart_shard}/restart answered "
-                f"{status}: {reply.get('error', reply)}"
-            )
+    def final_status(self) -> dict:
+        """The plane's final ``/status`` plus the drill outcome."""
+        document = self._get("/status")
+        self.close()
+        shards = document.get("shards", [])
         return {
-            "type": "graceful", "shard": config.restart_shard,
-            "pid": reply.get("pid"),
-            "after_batches": config.restart_after_batches,
+            "fleet": document.get("fleet", {}),
+            "shards": shards,
+            "fault": self.fault,
+            "recovered": self._recovered(shards) if self.fault else None,
         }
 
-    def _check_recovery(self, fault: dict) -> bool:
+    # ------------------------------------------------------------------
+    # Fault drills
+    # ------------------------------------------------------------------
+    def _inject_fault(self) -> dict:
+        if self.kill_shard >= 0:
+            pids = {
+                shard.get("shard"): shard["pid"]
+                for shard in self._get("/status").get("shards", [])
+            }
+            if self.kill_shard not in pids:
+                raise TargetError(f"no shard {self.kill_shard} in /status")
+            pid = int(pids[self.kill_shard])
+            os.kill(pid, signal.SIGKILL)
+            return {
+                "type": "kill", "shard": self.kill_shard, "pid": pid,
+                "after_batches": self._fault_due,
+            }
+        reply = self._post(f"/shards/{self.restart_shard}/restart", b"")
+        return {
+            "type": "graceful", "shard": self.restart_shard,
+            "pid": reply.get("pid"),
+            "after_batches": self._fault_due,
+        }
+
+    def _recovered(self, shards: List[dict]) -> bool:
         """The drilled shard must be alive again, re-forked (crash) or
         replaced (graceful), and the plane still serving its KPIs."""
-        status, document = self.target.request("GET", "/status")
-        if status != 200:
-            return False
-        for shard in document.get("shards", []):
-            if shard.get("shard") == fault["shard"]:
+        for shard in shards:
+            if shard.get("shard") == self.fault["shard"]:
                 restarted = (
                     shard.get("restarts", 0) >= 1
-                    if fault["type"] == "kill"
-                    else shard.get("pid") != fault.get("pid")
+                    if self.fault["type"] == "kill"
+                    else shard.get("pid") != self.fault.get("pid")
                 )
                 return bool(shard.get("alive")) and restarted
         return False
 
-    # ------------------------------------------------------------------
-    # Attribution (dict-event twin of SoakHarness._record_alert_delays)
-    # ------------------------------------------------------------------
-    def _record_alert_delays(self, events: List[dict]) -> int:
-        obs = get_provider()
-        opened = 0
-        for event in events:
-            kpi_id = event.get("kpi")
-            if event.get("kind") != "opened" or kpi_id is None:
-                continue
-            opened += 1
-            self._alerts.setdefault(kpi_id, []).append(event)
-            begins = self._window_begins.get(kpi_id)
-            if not begins:
-                continue
-            begin_index = int(event["begin_index"])
-            slot = bisect_right(begins, begin_index) - 1
-            if slot < 0:
-                continue
-            window = self._windows[kpi_id][slot]
-            if begin_index >= window.end:
-                continue  # false alarm between windows; no delay sample
-            obs.histogram(
-                "repro_alert_delay_points",
-                "Detection delay of opened alerts, in points past the "
-                "ground-truth window begin (Fig. 12 delay axis)",
-                buckets=DEFAULT_ALERT_DELAY_BUCKETS,
-                kpi=kpi_id,
-            ).observe(float(begin_index - window.begin))
-        return opened
 
-    # ------------------------------------------------------------------
-    # The run loop
-    # ------------------------------------------------------------------
-    def run(self) -> ReplayResult:
-        config = self.config
-        obs = get_provider()
-        self._preflight()
-        sim_end = config.scenario.weeks * SECONDS_PER_WEEK
-        tick = float(math.gcd(*self._intervals.values()))
-        offered_counters = {
-            kpi_id: obs.counter(
-                "repro_loadgen_points_offered_total",
-                "Points the load generator offered to the fleet",
-                kpi=kpi_id,
-            )
-            for kpi_id in self._intervals
-        }
-        cursors = {kpi_id: 0 for kpi_id in self._intervals}
-        checkpoints: List[dict] = []
-        points_offered = accepted = rejected = alerts_opened = 0
-        batches = 0
-        fault: Optional[dict] = None
-        fault_due = (
-            config.kill_after_batches
-            if config.kill_shard >= 0
-            else config.restart_after_batches
-            if config.restart_shard >= 0
-            else 0
-        )
-        completed = True
-        began = time.monotonic()
-        next_checkpoint = config.checkpoint_every
-        next_retrain = config.retrain_every or float("inf")
-
-        def record_checkpoint(sim_now: float) -> None:
-            checkpoints.append(
-                {
-                    "sim_seconds": sim_now,
-                    "points_offered": points_offered,
-                    "snapshot": combine_snapshots(
-                        [obs.snapshot(), self._server_snapshot()]
-                    ),
-                }
-            )
-
-        with obs.span(
-            "loadgen.replay",
-            n_kpis=config.scenario.n_kpis,
-            weeks=config.scenario.weeks,
-        ) as span:
-            sim_now = 0.0
-            while sim_now < sim_end:
-                sim_now += tick
-                batch: List[Tuple[str, float]] = []
-                for kpi_id, interval in self._intervals.items():
-                    if sim_now % interval:
-                        continue
-                    cursor = cursors[kpi_id]
-                    live = self._live[kpi_id]
-                    if cursor >= len(live):
-                        continue
-                    batch.append((kpi_id, live[cursor]))
-                    offered_counters[kpi_id].inc()
-                    cursors[kpi_id] = cursor + 1
-                if batch:
-                    points_offered += len(batch)
-                    reply = self._post_batch(batch)
-                    accepted += reply.get("accepted", 0)
-                    rejected += reply.get("rejected", 0)
-                    alerts_opened += self._record_alert_delays(
-                        reply.get("events", [])
-                    )
-                    batches += 1
-                    if fault is None and fault_due and batches >= fault_due:
-                        fault = self._inject_fault()
-                if config.retrain_every and sim_now >= next_retrain:
-                    next_retrain += config.retrain_every
-                    self._retrain_wave()
-                if sim_now >= next_checkpoint:
-                    next_checkpoint += config.checkpoint_every
-                    record_checkpoint(sim_now)
-                if config.points_per_second > 0:
-                    ahead = (
-                        points_offered / config.points_per_second
-                        - (time.monotonic() - began)
-                    )
-                    if ahead > 0:
-                        time.sleep(ahead)
-                if (
-                    config.max_wall_seconds
-                    and time.monotonic() - began > config.max_wall_seconds
-                ):
-                    completed = False
-                    break
-            if not checkpoints or checkpoints[-1]["sim_seconds"] < sim_now:
-                record_checkpoint(sim_now)
-            span.set("points_offered", points_offered)
-            span.set("completed", completed)
-
-        recovered = self._check_recovery(fault) if fault else None
-        status, final_status = self.target.request("GET", "/status")
-        if status != 200:
-            raise TargetError(f"final /status answered {status}")
-        self.target.close()
-        wall = time.monotonic() - began
-        document = {
-            "version": 1,
-            "mode": "replay",
-            "target": config.target,
-            "config": {
-                **config.scenario.as_dict(),
-                "checkpoint_every": config.checkpoint_every,
-                "retrain_every": config.retrain_every,
-            },
-            "completed": completed,
-            "wall_seconds": wall,
-            "points_offered": points_offered,
-            "accepted": accepted,
-            "rejected": rejected,
-            "alerts_opened": alerts_opened,
-            "fault": fault,
-            "recovered": recovered,
-            "fleet": final_status.get("fleet", {}),
-            "shards": final_status.get("shards", []),
-            "alerts": self._alerts,
-            "checkpoints": checkpoints,
-        }
-        return ReplayResult(
-            points_offered=points_offered,
-            accepted=accepted,
-            rejected=rejected,
-            alerts_opened=alerts_opened,
-            sim_seconds=checkpoints[-1]["sim_seconds"],
-            wall_seconds=wall,
-            completed=completed,
-            recovered=recovered,
-            document=document,
-        )
-
-
-__all__ = [
-    "HttpTarget",
-    "ReplayClient",
-    "ReplayConfig",
-    "ReplayResult",
-    "TargetError",
-]
+__all__ = ["HttpTarget", "TargetError"]

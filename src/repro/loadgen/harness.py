@@ -1,27 +1,29 @@
-"""The soak harness: simulated weeks of multi-KPI load on one fleet.
+"""The soak driver: simulated weeks of multi-KPI load on one target.
 
-The harness replays Table 1 synthetic profiles (PV, #SR, SRT — cycled
-when more KPIs are requested than profiles exist) into a
-:class:`~repro.fleet.FleetManager` on a *simulated* clock: one tick per
+:class:`SoakHarness` replays a deterministic scenario (see
+:mod:`repro.loadgen.scenario`) on a *simulated* clock: one tick per
 greatest-common-divisor of the KPI sampling intervals, each KPI
-offering a point whenever its interval comes due, one fleet pump per
-tick. On top of the steady stream it drives the two operational
-stressors the SLO gate cares about:
+offering a point whenever its interval comes due, one batch per tick.
+The batch goes to one of two targets:
 
-* **retraining waves** — every ``retrain_every`` simulated seconds the
-  ground-truth anomaly windows accumulated so far are submitted as
-  operator labels and a staggered :meth:`FleetManager.retrain` wave
-  runs;
-* **quarantine churn** — the first ``fault_kpis`` KPIs are built on a
+* :class:`FleetTarget` (the default) — the scenario bootstrapped into
+  an in-process :class:`~repro.fleet.FleetManager`, pumped once per
+  tick. The first ``fault_kpis`` KPIs are built on a
   :class:`FaultInjectingService` that raises on every Nth ingest, so
   the fleet's quarantine → backoff → recovery lifecycle keeps cycling
-  under load (failures are never consecutive, so no KPI degrades).
+  under load (failures are never consecutive, so no KPI degrades);
+* :class:`~repro.loadgen.client.HttpTarget` (``target`` set) — a
+  running ``repro-serve`` plane, one ``POST /ingest/batch`` per tick,
+  with optional shard kill / graceful-restart drills.
 
-At every ``checkpoint_every`` simulated seconds the harness records a
-combined metrics snapshot (the global provider plus the per-KPI
-registry rollup) tagged with the simulated timestamp. The resulting
-soak document is exactly what ``repro-obs slo`` consumes for
-multi-window burn-rate evaluation (see :mod:`repro.obs.slo`).
+Every ``retrain_every`` simulated seconds the ground-truth anomaly
+windows are submitted as operator labels (the fleet clips them to what
+each KPI has ingested) and the target retrains. Every
+``checkpoint_every`` simulated seconds the harness records a combined
+metrics snapshot (its own provider plus the target's per-KPI rollup)
+tagged with the simulated timestamp. The resulting soak document is
+exactly what ``repro-obs slo`` consumes for multi-window burn-rate
+evaluation (see :mod:`repro.obs.slo`).
 
 Two metrics exist only here:
 
@@ -45,10 +47,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.service import AlertEvent, MonitoringService
 from ..fleet.banks import small_bank
 from ..fleet.manager import FleetManager
+from ..fleet.status import FleetStatus
 from ..ml import RandomForest
 from ..obs import combine_snapshots, get_provider
+from ..serve.shard import serialize_events
 from ..timeseries.windows import AnomalyWindow
-from .scenario import ScenarioSpec, build_scenario, kpi_identifier
+from .client import HttpTarget
+from .scenario import ScenarioKpi, ScenarioSpec, build_scenario
 
 #: Point-valued buckets for ``repro_alert_delay_points`` — spanning the
 #: duration filter's floor (alerts open after ``min_duration_points``)
@@ -106,7 +111,7 @@ class SoakConfig:
     dataset: Optional[str] = None
     #: Simulated seconds between metrics checkpoints.
     checkpoint_every: float = 3600.0
-    #: Simulated seconds between label-submission + retrain waves
+    #: Simulated seconds between label-submission + retrain rounds
     #: (0 disables retraining).
     retrain_every: float = 6.0 * 3600.0
     #: How many leading KPIs run on a :class:`FaultInjectingService`.
@@ -127,19 +132,29 @@ class SoakConfig:
     n_shards: int = 4
     queue_depth: int = 256
     batch_points: int = 64
-    max_concurrent_retrains: int = 2
     seed_offset: int = 0
+    #: A ``repro-serve`` base URL to replay at over HTTP instead of the
+    #: in-process fleet (the fleet-building fields above then belong to
+    #: the server, and the fault-injection fields are ignored).
+    target: Optional[str] = None
+    #: HTTP target only: SIGKILL this shard process after
+    #: ``kill_after_batches`` batch posts (-1 disables).
+    kill_shard: int = -1
+    kill_after_batches: int = 0
+    #: HTTP target only: gracefully restart this shard instead.
+    restart_shard: int = -1
+    restart_after_batches: int = 0
 
     def validate(self) -> None:
-        if self.n_kpis < 1:
-            raise ValueError("n_kpis must be >= 1")
-        if self.weeks <= 0 or self.bootstrap_weeks <= 0:
-            raise ValueError("weeks and bootstrap_weeks must be > 0")
         self.scenario_spec().validate()
         if self.checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be > 0")
-        if self.fault_kpis < 0 or self.fault_kpis > self.n_kpis:
+        if self.target is None and not 0 <= self.fault_kpis <= self.n_kpis:
             raise ValueError("fault_kpis must be in [0, n_kpis]")
+        if self.kill_shard >= 0 and self.kill_after_batches < 1:
+            raise ValueError("kill_after_batches must be >= 1")
+        if self.restart_shard >= 0 and self.restart_after_batches < 1:
+            raise ValueError("restart_after_batches must be >= 1")
 
     def scenario_spec(self) -> ScenarioSpec:
         return ScenarioSpec(
@@ -157,42 +172,36 @@ class SoakResult:
     """What a soak run produced (``document`` is the on-disk form)."""
 
     points_offered: int
+    accepted: int
+    rejected: int
     alerts_opened: int
     quarantines: int
     sim_seconds: float
     wall_seconds: float
     completed: bool  # False when the wall budget expired early
+    #: None when no fault drill ran; else whether the shard came back.
+    recovered: Optional[bool]
     document: dict = field(repr=False, default_factory=dict)
 
 
-#: Kept as the historical import site; the implementation moved to
-#: :func:`repro.loadgen.scenario.kpi_identifier` when the serve plane
-#: started sharing scenarios with the harness.
-_kpi_identifier = kpi_identifier
+class FleetTarget:
+    """The in-process target: the scenario bootstrapped into one fleet."""
 
-
-class SoakHarness:
-    """Build the fleet, stream the load, record the checkpoints.
-
-    The harness records into whatever observability provider is active;
-    enable one first (the CLI does) or every checkpoint snapshot — and
-    therefore every SLO — will be empty.
-    """
-
-    def __init__(self, config: SoakConfig):
-        config.validate()
+    def __init__(self, config: SoakConfig, kpis: Sequence[ScenarioKpi]):
         self.config = config
-        self._windows: Dict[str, List[AnomalyWindow]] = {}
-        self._window_begins: Dict[str, List[int]] = {}
-        self._live: Dict[str, Sequence[float]] = {}
-        self._intervals: Dict[str, int] = {}
-        self._bootstrap_points: Dict[str, int] = {}
-        self._fault_ids: List[str] = []
-        self.fleet = self._build_fleet()
+        self._intervals = {kpi.kpi_id: kpi.interval for kpi in kpis}
+        self._fault_ids = {
+            kpi.kpi_id for kpi in kpis if kpi.index < config.fault_kpis
+        }
+        self.fleet = FleetManager(
+            n_shards=config.n_shards,
+            queue_depth=config.queue_depth,
+            batch_points=config.batch_points,
+            service_factory=self._service_for,
+        )
+        for kpi in kpis:
+            self.fleet.add_kpi(kpi.kpi_id, bootstrap=kpi.bootstrap)
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     def _service_for(self, kpi_id: str) -> MonitoringService:
         points_per_week = SECONDS_PER_WEEK // self._intervals[kpi_id]
         config = self.config
@@ -215,71 +224,102 @@ class SoakHarness:
             )
         return MonitoringService(**kwargs)
 
-    def _build_fleet(self) -> FleetManager:
-        config = self.config
-        fleet = FleetManager(
-            n_shards=config.n_shards,
-            queue_depth=config.queue_depth,
-            batch_points=config.batch_points,
-            max_concurrent_retrains=config.max_concurrent_retrains,
-            service_factory=self._service_for,
+    def post(
+        self, points: List[Tuple[str, float]]
+    ) -> Tuple[int, int, List[dict]]:
+        """Offer one tick's points and pump once (every tick, so
+        quarantine backoffs count down even when nothing is due)."""
+        accepted = sum(
+            1 for kpi_id, value in points if self.fleet.offer(kpi_id, value)
         )
-        for kpi in build_scenario(config.scenario_spec()):
-            self._intervals[kpi.kpi_id] = kpi.interval
-            self._bootstrap_points[kpi.kpi_id] = kpi.bootstrap_points
-            if kpi.index < config.fault_kpis:
-                self._fault_ids.append(kpi.kpi_id)
-            windows = list(kpi.windows)
-            self._windows[kpi.kpi_id] = windows
-            self._window_begins[kpi.kpi_id] = [w.begin for w in windows]
-            self._live[kpi.kpi_id] = kpi.live_values
-            fleet.add_kpi(kpi.kpi_id, bootstrap=kpi.bootstrap)
-        return fleet
+        events = serialize_events(self.fleet.pump())
+        return accepted, len(points) - accepted, events
 
-    # ------------------------------------------------------------------
-    # Attribution
-    # ------------------------------------------------------------------
-    def _record_alert_delays(self, events: Sequence[AlertEvent]) -> int:
-        """Observe per-KPI detection delay (in points) for every opened
-        alert that falls inside a ground-truth anomaly window."""
+    def retrain(self, windows: Dict[str, List[AnomalyWindow]]) -> None:
+        for kpi_id, kpi_windows in windows.items():
+            self.fleet.submit_labels(kpi_id, kpi_windows)
+        self.fleet.retrain()
+
+    def snapshot(self) -> dict:
+        return self.fleet.metrics_snapshot()
+
+    def drain(self) -> List[dict]:
+        """Flush what the queues still hold (quarantine backoff may
+        have starved some KPIs)."""
+        return serialize_events(self.fleet.drain_all())
+
+    def final_status(self) -> dict:
+        return {"fleet": self.fleet.status().as_dict()}
+
+
+class SoakHarness:
+    """Build the target, stream the load, record the checkpoints.
+
+    The harness records into whatever observability provider is active;
+    enable one first (the CLI does) or every checkpoint snapshot — and
+    therefore every SLO — will be empty.
+    """
+
+    def __init__(self, config: SoakConfig):
+        config.validate()
+        self.config = config
+        kpis = build_scenario(config.scenario_spec())
+        self._intervals = {kpi.kpi_id: kpi.interval for kpi in kpis}
+        self._live = {kpi.kpi_id: kpi.live_values for kpi in kpis}
+        self._windows = {kpi.kpi_id: list(kpi.windows) for kpi in kpis}
+        self._window_begins = {
+            kpi_id: [w.begin for w in windows]
+            for kpi_id, windows in self._windows.items()
+        }
+        self._alerts: Dict[str, List[dict]] = {
+            kpi_id: [] for kpi_id in self._intervals
+        }
+        self.target = (
+            FleetTarget(config, kpis)
+            if config.target is None
+            else HttpTarget(
+                config.target,
+                list(self._intervals),
+                kill_shard=config.kill_shard,
+                kill_after_batches=config.kill_after_batches,
+                restart_shard=config.restart_shard,
+                restart_after_batches=config.restart_after_batches,
+            )
+        )
+
+    def _record_alerts(self, events: Sequence[dict]) -> int:
+        """Keep every opened alert and observe its detection delay (in
+        points) when it falls inside a ground-truth anomaly window."""
         obs = get_provider()
         opened = 0
         for event in events:
-            if event.kind != "opened" or event.kpi is None:
+            kpi_id = event.get("kpi")
+            if event.get("kind") != "opened" or kpi_id is None:
                 continue
             opened += 1
-            begins = self._window_begins.get(event.kpi)
+            self._alerts.setdefault(kpi_id, []).append(event)
+            begins = self._window_begins.get(kpi_id)
             if not begins:
                 continue
-            slot = bisect_right(begins, event.begin_index) - 1
+            begin_index = int(event["begin_index"])
+            slot = bisect_right(begins, begin_index) - 1
             if slot < 0:
                 continue
-            window = self._windows[event.kpi][slot]
-            if event.begin_index >= window.end:
+            window = self._windows[kpi_id][slot]
+            if begin_index >= window.end:
                 continue  # false alarm between windows; no delay sample
             obs.histogram(
                 "repro_alert_delay_points",
                 "Detection delay of opened alerts, in points past the "
                 "ground-truth window begin (Fig. 12 delay axis)",
                 buckets=DEFAULT_ALERT_DELAY_BUCKETS,
-                kpi=event.kpi,
-            ).observe(float(event.begin_index - window.begin))
+                kpi=kpi_id,
+            ).observe(float(begin_index - window.begin))
         return opened
 
-    def _submit_ground_truth(self) -> None:
-        """Feed each KPI the ground-truth windows its service has fully
-        ingested — the operator labelling step before a retrain wave."""
-        for kpi_id, windows in self._windows.items():
-            horizon = self.fleet.service(kpi_id).history_length
-            visible = [w for w in windows if w.end <= horizon]
-            if visible:
-                self.fleet.submit_labels(kpi_id, visible)
-
-    # ------------------------------------------------------------------
-    # The run loop
-    # ------------------------------------------------------------------
     def run(self) -> SoakResult:
         config = self.config
+        target = self.target
         obs = get_provider()
         sim_end = config.weeks * SECONDS_PER_WEEK
         tick = float(math.gcd(*self._intervals.values()))
@@ -289,12 +329,11 @@ class SoakHarness:
                 "Points the load generator offered to the fleet",
                 kpi=kpi_id,
             )
-            for kpi_id in self.fleet.kpi_ids
+            for kpi_id in self._intervals
         }
-        cursors = {kpi_id: 0 for kpi_id in self.fleet.kpi_ids}
+        cursors = {kpi_id: 0 for kpi_id in self._intervals}
         checkpoints: List[dict] = []
-        points_offered = 0
-        alerts_opened = 0
+        points_offered = accepted = rejected = alerts_opened = 0
         completed = True
         began = time.monotonic()
         next_checkpoint = config.checkpoint_every
@@ -306,17 +345,21 @@ class SoakHarness:
                     "sim_seconds": sim_now,
                     "points_offered": points_offered,
                     "snapshot": combine_snapshots(
-                        [obs.snapshot(), self.fleet.metrics_snapshot()]
+                        [obs.snapshot(), target.snapshot()]
                     ),
                 }
             )
 
         with obs.span(
-            "loadgen.soak", n_kpis=config.n_kpis, weeks=config.weeks
+            "loadgen.soak",
+            n_kpis=config.n_kpis,
+            weeks=config.weeks,
+            target=config.target or "in-process",
         ) as span:
             sim_now = 0.0
             while sim_now < sim_end:
                 sim_now += tick
+                batch: List[Tuple[str, float]] = []
                 for kpi_id, interval in self._intervals.items():
                     if sim_now % interval:
                         continue
@@ -324,17 +367,17 @@ class SoakHarness:
                     live = self._live[kpi_id]
                     if cursor >= len(live):
                         continue
-                    self.fleet.offer(kpi_id, live[cursor])
+                    batch.append((kpi_id, live[cursor]))
                     offered_counters[kpi_id].inc()
                     cursors[kpi_id] = cursor + 1
-                    points_offered += 1
-                alerts_opened += self._record_alert_delays(
-                    self.fleet.pump()
-                )
+                points_offered += len(batch)
+                ok, refused, events = target.post(batch)
+                accepted += ok
+                rejected += refused
+                alerts_opened += self._record_alerts(events)
                 if config.retrain_every and sim_now >= next_retrain:
                     next_retrain += config.retrain_every
-                    self._submit_ground_truth()
-                    self.fleet.retrain()
+                    target.retrain(self._windows)
                 if sim_now >= next_checkpoint:
                     next_checkpoint += config.checkpoint_every
                     record_checkpoint(sim_now)
@@ -351,46 +394,49 @@ class SoakHarness:
                 ):
                     completed = False
                     break
-            # Flush whatever the queues still hold (quarantine backoff
-            # may have starved some KPIs) and close with a checkpoint.
-            alerts_opened += self._record_alert_delays(
-                self.fleet.drain_all()
-            )
+            alerts_opened += self._record_alerts(target.drain())
             if not checkpoints or checkpoints[-1]["sim_seconds"] < sim_now:
                 record_checkpoint(sim_now)
             span.set("points_offered", points_offered)
             span.set("completed", completed)
 
+        final = {"fault": None, "recovered": None, **target.final_status()}
         wall = time.monotonic() - began
-        status = self.fleet.status()
+        settings = {
+            **config.scenario_spec().as_dict(),
+            "checkpoint_every": config.checkpoint_every,
+            "retrain_every": config.retrain_every,
+        }
+        if config.target is None:
+            settings["fault_kpis"] = config.fault_kpis
+            settings["fault_every"] = config.fault_every
         document = {
             "version": 1,
-            "config": {
-                "n_kpis": config.n_kpis,
-                "weeks": config.weeks,
-                "bootstrap_weeks": config.bootstrap_weeks,
-                "profiles": list(config.profiles),
-                "dataset": config.dataset,
-                "checkpoint_every": config.checkpoint_every,
-                "retrain_every": config.retrain_every,
-                "fault_kpis": config.fault_kpis,
-                "fault_every": config.fault_every,
-                "seed_offset": config.seed_offset,
-            },
+            "mode": "soak" if config.target is None else "replay",
+            "target": config.target,
+            "config": settings,
             "completed": completed,
             "wall_seconds": wall,
             "points_offered": points_offered,
+            "accepted": accepted,
+            "rejected": rejected,
             "alerts_opened": alerts_opened,
-            "fleet": status.as_dict(),
+            **final,
+            "alerts": self._alerts,
             "checkpoints": checkpoints,
         }
         return SoakResult(
             points_offered=points_offered,
+            accepted=accepted,
+            rejected=rejected,
             alerts_opened=alerts_opened,
-            quarantines=status.total_quarantines,
+            quarantines=FleetStatus.from_dict(
+                document["fleet"]
+            ).total_quarantines,
             sim_seconds=checkpoints[-1]["sim_seconds"],
             wall_seconds=wall,
             completed=completed,
+            recovered=document["recovered"],
             document=document,
         )
 
@@ -398,9 +444,10 @@ class SoakHarness:
 __all__ = [
     "DEFAULT_ALERT_DELAY_BUCKETS",
     "SECONDS_PER_WEEK",
-    "InjectedFault",
     "FaultInjectingService",
+    "FleetTarget",
+    "InjectedFault",
     "SoakConfig",
-    "SoakResult",
     "SoakHarness",
+    "SoakResult",
 ]

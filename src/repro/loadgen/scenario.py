@@ -1,12 +1,13 @@
 """Deterministic multi-KPI scenarios shared across load surfaces.
 
-One scenario description, three consumers:
+One scenario description, two consumers:
 
-* the in-process :class:`~repro.loadgen.harness.SoakHarness`;
+* the :class:`~repro.loadgen.harness.SoakHarness`, which bootstraps it
+  into an in-process fleet or — against a ``repro-serve`` plane —
+  regenerates the *same* series client-side and streams the live tail
+  over HTTP;
 * the ``repro-serve`` scenario mode, where each forked shard process
-  builds only its consistent-hash slice of the same scenario;
-* the ``repro-loadgen --target`` replay client, which regenerates the
-  *same* series client-side and streams the live tail over HTTP.
+  builds only its consistent-hash slice of the same scenario.
 
 Everything is a pure function of the spec: ``make_kpi`` seeds from
 ``seed_offset + index``, so a server and a client (or two servers in a

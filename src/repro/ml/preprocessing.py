@@ -10,8 +10,6 @@ must be comparable.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -29,13 +27,17 @@ class Imputer:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got {features.shape}")
-        cleaned = np.where(np.isfinite(features), features, np.nan)
-        with warnings.catch_warnings():
-            # All-NaN columns (a detector whose warm-up exceeds the
-            # training window) are expected; they fall back to 0 below.
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            medians = np.nanmedian(cleaned, axis=0)
-        self.fill_values_ = np.where(np.isfinite(medians), medians, 0.0)
+        finite = np.isfinite(features)
+        # Columns with no finite value (a detector whose warm-up exceeds
+        # the training window) fall back to 0 without a median, so
+        # nanmedian never sees an all-NaN slice.
+        observed = finite.any(axis=0)
+        fill = np.zeros(features.shape[1])
+        if observed.any():
+            fill[observed] = np.nanmedian(
+                np.where(finite, features, np.nan)[:, observed], axis=0
+            )
+        self.fill_values_ = np.where(np.isfinite(fill), fill, 0.0)
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:

@@ -130,7 +130,9 @@ def load_or_build(spec: ShardSpec) -> FleetManager:
     return fleet
 
 
-def _serialize_events(events: Sequence[AlertEvent]) -> List[dict]:
+def serialize_events(events: Sequence[AlertEvent]) -> List[dict]:
+    """Alert events as the JSON dicts a shard replies with (and the
+    soak driver attributes delays from)."""
     return [
         {
             "kind": event.kind,
@@ -195,7 +197,7 @@ class _ShardServer:
             "accepted": accepted,
             "rejected": rejected,
             "unknown": unknown,
-            "events": _serialize_events(events),
+            "events": serialize_events(events),
             "batches": self.batches,
         }
 
@@ -217,18 +219,15 @@ class _ShardServer:
         }
 
     def op_submit_labels(self, payload: dict) -> dict:
-        """Label windows for one KPI, clipped to the points its service
-        has actually ingested (the operator cannot label the future)."""
-        kpi_id = payload["kpi"]
-        horizon = self.fleet.service(kpi_id).history_length
+        """Label windows for one KPI (clipped by the fleet to what the
+        KPI has ingested)."""
         windows = [
             AnomalyWindow(int(begin), int(end))
             for begin, end in payload["windows"]
-            if int(end) <= horizon
         ]
-        if windows:
-            self.fleet.submit_labels(kpi_id, windows)
-        return {"submitted": len(windows)}
+        return {
+            "submitted": self.fleet.submit_labels(payload["kpi"], windows)
+        }
 
     def op_retrain(self, payload: dict) -> dict:
         results = self.fleet.retrain(payload.get("kpis"))
@@ -302,5 +301,6 @@ __all__ = [
     "atomic_checkpoint",
     "find_checkpoint",
     "load_or_build",
+    "serialize_events",
     "shard_worker_main",
 ]

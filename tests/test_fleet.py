@@ -8,6 +8,7 @@ keeps the clone path itself under test.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -451,7 +452,7 @@ class TestRetrain:
         series, _, split = fleet_kpi
         live = [float(v) for v in series.values[split:split + 12]]
         ids = ["kpi-000", "kpi-001", "kpi-002"]
-        fleet = build_fleet(template, ids, max_concurrent_retrains=2)
+        fleet = build_fleet(template, ids)
         for kpi_id in ids:
             fleet.offer_many(kpi_id, live)
         fleet.drain_all()
@@ -525,25 +526,37 @@ class TestSaveRestore:
         original.save(fleet_dir)
         expected = run_suffix(original)
 
-        restored = FleetManager.restore(
-            fleet_dir, service_factory=service_factory(template)
+        # The same checkpoint in the manifest shape of fleets that still
+        # had thread-pool options: restore must ignore the two keys.
+        legacy_dir = tmp_path / "legacy"
+        shutil.copytree(fleet_dir, legacy_dir)
+        manifest_path = legacy_dir / "fleet.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(
+            max_concurrent_retrains=2, dispatch_workers=1
         )
-        assert sorted(restored.kpi_ids) == ids
-        actual = run_suffix(restored)
+        manifest_path.write_text(json.dumps(manifest, indent=2))
 
-        # The remaining alert stream reproduces exactly — including
-        # events from the points that were still queued at crash time
-        # and everything after the post-restore retrain.
-        assert actual == expected
-        for kpi_id in ids:
-            assert (
-                restored.service(kpi_id).stats.as_dict()
-                == original.service(kpi_id).stats.as_dict()
+        for directory in (fleet_dir, legacy_dir):
+            restored = FleetManager.restore(
+                directory, service_factory=service_factory(template)
             )
-            assert (
-                restored.service(kpi_id).cthld
-                == original.service(kpi_id).cthld
-            )
+            assert sorted(restored.kpi_ids) == ids
+            actual = run_suffix(restored)
+
+            # The remaining alert stream reproduces exactly — including
+            # events from the points that were still queued at crash
+            # time and everything after the post-restore retrain.
+            assert actual == expected
+            for kpi_id in ids:
+                assert (
+                    restored.service(kpi_id).stats.as_dict()
+                    == original.service(kpi_id).stats.as_dict()
+                )
+                assert (
+                    restored.service(kpi_id).cthld
+                    == original.service(kpi_id).cthld
+                )
 
     def test_save_is_a_pure_observer(self, fleet_kpi, template, tmp_path):
         series, _, split = fleet_kpi

@@ -11,7 +11,7 @@ from repro.loadgen import (
     SoakHarness,
 )
 from repro.loadgen.cli import main as loadgen_main
-from repro.loadgen.harness import _kpi_identifier
+from repro.loadgen.scenario import kpi_identifier
 from repro.obs import ObservabilityProvider, set_provider
 from repro.obs.slo import evaluate_slo, load_snapshot_series, parse_slo_spec
 
@@ -54,17 +54,18 @@ def tiny_soak():
 
 class TestKpiIdentifier:
     def test_sanitizes_table1_names(self):
-        assert _kpi_identifier("PV", 0) == "PV-000"
-        assert _kpi_identifier("#SR", 13) == "SR-013"
-        assert _kpi_identifier("###", 2) == "KPI-002"
+        assert kpi_identifier("PV", 0) == "PV-000"
+        assert kpi_identifier("#SR", 13) == "SR-013"
+        assert kpi_identifier("###", 2) == "KPI-002"
 
 
 class TestFaultInjectingService:
     def test_fails_every_nth_never_consecutively(self, tiny_soak):
         harness, _ = tiny_soak
-        faulty = harness.fleet.service(harness.fleet.kpi_ids[0])
+        fleet = harness.target.fleet
+        faulty = fleet.service(fleet.kpi_ids[0])
         assert isinstance(faulty, FaultInjectingService)
-        healthy = harness.fleet.service(harness.fleet.kpi_ids[1])
+        healthy = fleet.service(fleet.kpi_ids[1])
         assert not isinstance(healthy, FaultInjectingService)
 
     def test_raises_on_schedule(self):
@@ -73,8 +74,8 @@ class TestFaultInjectingService:
 
     def test_injected_fault_is_periodic(self, tiny_soak):
         harness, result = tiny_soak
-        status = harness.fleet.status()
-        faulty_id = harness.fleet.kpi_ids[0]
+        status = harness.target.fleet.status()
+        faulty_id = harness.target.fleet.kpi_ids[0]
         by_id = {kpi.kpi_id: kpi for kpi in status.kpis}
         # Every fault quarantined the KPI, every retry recovered it:
         # churn, not degradation.
@@ -95,6 +96,11 @@ class TestSoakRun:
         _, result = tiny_soak
         document = result.document
         assert document["version"] == 1
+        assert document["mode"] == "soak"
+        assert (
+            sum(len(opened) for opened in document["alerts"].values())
+            == result.alerts_opened
+        )
         checkpoints = document["checkpoints"]
         assert len(checkpoints) >= 2
         sims = [c["sim_seconds"] for c in checkpoints]
@@ -114,7 +120,7 @@ class TestSoakRun:
         for family in final["metrics"]:
             if family["name"] == "repro_fleet_ingest_seconds":
                 kpis = {s["labels"]["kpi"] for s in family["samples"]}
-                assert kpis == set(harness.fleet.kpi_ids)
+                assert kpis == set(harness.target.fleet.kpi_ids)
 
     def test_alert_delay_histogram_when_alerts_open(self, tiny_soak):
         _, result = tiny_soak
@@ -170,7 +176,7 @@ class TestSoakRun:
         # the live p99 read may be None here; the rendered table must
         # cope either way ("-" cell).
         harness, _ = tiny_soak
-        text = harness.fleet.status().render()
+        text = harness.target.fleet.status().render()
         assert "ING-P99" in text
 
 

@@ -31,7 +31,7 @@ from repro.fleet.status import (
     merge_statuses,
     status_document,
 )
-from repro.loadgen import ReplayClient, ReplayConfig, ScenarioSpec
+from repro.loadgen import ScenarioSpec, SoakConfig, SoakHarness
 from repro.obs import ObservabilityProvider, set_provider
 from repro.obs.slo import evaluate_slo, load_snapshot_series, parse_slo_spec
 from repro.serve import (
@@ -586,7 +586,9 @@ class TestHttpPlane:
     def test_labels_and_targeted_retrain(self, server):
         status, _, payload = http_request(
             server, "POST", "/labels",
-            {"kpi": "kpi-001", "windows": [[10, 14]]},
+            # The second window lies beyond what the KPI has ingested:
+            # the operator cannot label the future, so it is clipped.
+            {"kpi": "kpi-001", "windows": [[10, 14], [10**9, 10**9 + 4]]},
         )
         assert status == 200
         assert payload["submitted"] == 1
@@ -732,14 +734,17 @@ def scenario_server(workdir):
 
 def run_replay(workdir, **overrides):
     with scenario_server(workdir) as server:
-        config = ReplayConfig(
+        config = SoakConfig(
             target=server.url,
-            scenario=SCENARIO,
+            n_kpis=SCENARIO.n_kpis,
+            weeks=SCENARIO.weeks,
+            bootstrap_weeks=SCENARIO.bootstrap_weeks,
+            profiles=SCENARIO.profiles,
             checkpoint_every=3600.0,
             retrain_every=8 * 3600.0,
             **overrides,
         )
-        return ReplayClient(config).run()
+        return SoakHarness(config).run()
 
 
 @pytest.fixture(scope="module")
