@@ -22,6 +22,7 @@ import numpy as np
 
 from ..evaluation import AccuracyPreference
 from ..ml import Imputer, RandomForest
+from .jsonio import JSONText, write_json
 from .opprentice import Opprentice
 from .service import MonitoringService
 from .streaming import StreamingDetector
@@ -38,7 +39,12 @@ SERVICE_CHECKPOINT_FORMAT_VERSION = 1
 
 
 def save_model(opprentice: Opprentice, path: Union[str, Path]) -> None:
-    """Persist a fitted Opprentice to ``path`` (JSON)."""
+    """Persist a fitted Opprentice to ``path`` (JSON).
+
+    The forest is written from the text it keeps until its next fit
+    (:meth:`~repro.ml.RandomForest.to_json`); the file equals
+    ``json.dumps`` of the payload with ``forest.to_dict()`` inline.
+    """
     if opprentice.classifier_ is None or opprentice.imputer_ is None:
         raise ValueError("cannot save an unfitted Opprentice")
     if not isinstance(opprentice.classifier_, RandomForest):
@@ -55,9 +61,9 @@ def save_model(opprentice: Opprentice, path: Union[str, Path]) -> None:
         "cthld": opprentice.cthld_,
         "feature_names": opprentice.extractor.names,
         "imputer_fill_values": opprentice.imputer_.fill_values_.tolist(),
-        "forest": opprentice.classifier_.to_dict(),
+        "forest": JSONText(opprentice.classifier_.to_json()),
     }
-    Path(path).write_text(json.dumps(payload))
+    write_json(path, payload)
 
 
 def load_model(
@@ -165,12 +171,21 @@ def save_service_checkpoint(
     ``include_features=False`` to drop the cached training matrix (the
     O(history × configs) bulk) at the cost of one full refit on the
     first post-restore retraining round.
+
+    Only the state that changed since the last fit is encoded here: the
+    forest, the training matrix and the diagnoser are written from the
+    JSON text their owners keep until the next fit, and the document
+    goes to disk in fragments. The file is byte-identical to
+    ``json.dumps`` of ``{"format_version": ..., "snapshot":
+    service.snapshot(include_features)}``.
     """
     payload = {
         "format_version": SERVICE_CHECKPOINT_FORMAT_VERSION,
-        "snapshot": service.snapshot(include_features=include_features),
+        "snapshot": service.snapshot(
+            include_features=include_features, memoised=True
+        ),
     }
-    Path(path).write_text(json.dumps(payload))
+    write_json(path, payload)
 
 
 def load_service_checkpoint(

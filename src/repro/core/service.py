@@ -29,6 +29,7 @@ from ..evaluation import MODERATE_PREFERENCE, AccuracyPreference
 from ..ml import Classifier
 from ..obs import MetricsRegistry, get_provider
 from ..timeseries import AnomalyWindow, TimeSeries, merge_windows, windows_to_points
+from .jsonio import JSONText
 from .opprentice import Opprentice, default_classifier_factory
 from .prediction import best_cthld
 from .streaming import StreamingDetector
@@ -630,7 +631,9 @@ class MonitoringService:
     # ------------------------------------------------------------------
     # Checkpointing: the full mutable service state as one JSON dict.
     # ------------------------------------------------------------------
-    def snapshot(self, include_features: bool = True) -> Dict[str, Any]:
+    def snapshot(
+        self, include_features: bool = True, *, memoised: bool = False
+    ) -> Dict[str, Any]:
         """The service's mutable state as a JSON-serializable dict.
 
         Together with the model artifact (:func:`~repro.core.save_model`)
@@ -646,10 +649,29 @@ class MonitoringService:
         matrix (the bulkiest part, O(history × configs)); a service
         restored without it stays bit-identical for ingest and falls
         back to a full refit on its next :meth:`retrain`.
+
+        ``memoised=True`` is the form
+        :func:`~repro.core.save_service_checkpoint` writes: the parts
+        that change only when a model is fitted (the training matrix and
+        the diagnoser) come back as their memoised
+        :class:`~repro.core.jsonio.JSONText`, so a checkpoint re-encodes
+        only the per-point state.
         """
         if self._history is None or self._streaming is None:
             raise RuntimeError("bootstrap() must run before snapshot()")
         features = self._opprentice._feature_values
+        if not include_features or features is None:
+            train_features = None
+        elif memoised:
+            train_features = JSONText(self._opprentice.feature_values_json())
+        else:
+            train_features = features.tolist()
+        if self.diagnoser is None:
+            diagnoser = None
+        elif memoised:
+            diagnoser = JSONText(self.diagnoser.to_json())
+        else:
+            diagnoser = self.diagnoser.to_dict()
         return {
             "format_version": SERVICE_SNAPSHOT_VERSION,
             "kpi": self._history.name,
@@ -678,16 +700,8 @@ class MonitoringService:
             },
             "stream": self._streaming.snapshot(),
             "cthld_predictor": self._opprentice.cthld_predictor.snapshot(),
-            "train_features": (
-                [[float(x) for x in row] for row in features]
-                if include_features and features is not None
-                else None
-            ),
-            "diagnoser": (
-                self.diagnoser.to_dict()
-                if self.diagnoser is not None
-                else None
-            ),
+            "train_features": train_features,
+            "diagnoser": diagnoser,
             "stats": self.stats.as_dict(),
         }
 

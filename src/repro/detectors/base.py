@@ -64,6 +64,9 @@ class DetectorError(ValueError):
     """Raised for invalid detector parameters or inputs."""
 
 
+_FLOAT_ONLY = frozenset({float})
+
+
 def _encode_state(value: Any) -> Any:
     """Encode one stream attribute into JSON-serializable form.
 
@@ -76,11 +79,13 @@ def _encode_state(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return {"__kind__": "ndarray", "values": value.tolist()}
     if isinstance(value, deque):
-        return {
-            "__kind__": "deque",
-            "maxlen": value.maxlen,
-            "values": [_encode_state(item) for item in value],
-        }
+        # Severity and value rings hold nothing but floats; copy those
+        # in one pass instead of walking every item.
+        if set(map(type, value)) <= _FLOAT_ONLY:
+            values = list(value)
+        else:
+            values = [_encode_state(item) for item in value]
+        return {"__kind__": "deque", "maxlen": value.maxlen, "values": values}
     if isinstance(value, tuple):
         return {
             "__kind__": "tuple",
@@ -394,6 +399,31 @@ def phase_view(values: np.ndarray, period: int) -> np.ndarray:
     padded = np.full(n_rows * period, np.nan)
     padded[:n] = values
     return padded.reshape(n_rows, period)
+
+
+def nan_row_stat(
+    stat: Callable[..., np.ndarray], matrix: np.ndarray
+) -> np.ndarray:
+    """``stat(matrix, axis=1)`` for a nan-aware ``stat`` (``np.nanmean``,
+    ``np.nanmedian``), with NaN for rows holding no observed value.
+
+    numpy warns on such all-NaN rows; leaving them out of the reduction
+    keeps the process-global warning filters untouched. Each row is
+    reduced on its own, so every value equals the plain call's bit for
+    bit, and runs of observed rows are passed as slices, so a
+    sliding-window view is never copied. Callers still guard
+    ``invalid`` under ``np.errstate`` (e.g. ``inf - inf`` in a row).
+    """
+    observed = ~np.isnan(matrix).all(axis=1)
+    if observed.all():
+        return stat(matrix, axis=1)
+    out = np.full(len(matrix), np.nan)
+    edges = np.flatnonzero(
+        np.diff(observed.astype(np.int8), prepend=0, append=0)
+    )
+    for begin, end in zip(edges[::2], edges[1::2]):
+        out[begin:end] = stat(matrix[begin:end], axis=1)
+    return out
 
 
 def build_configs(detectors: Iterable[Detector]) -> List[DetectorConfig]:

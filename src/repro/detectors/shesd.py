@@ -27,7 +27,13 @@ from typing import Dict
 import numpy as np
 
 from ..timeseries import TimeSeries
-from .base import Detector, DetectorError, ParamValue, SeverityStream
+from .base import (
+    Detector,
+    DetectorError,
+    ParamValue,
+    SeverityStream,
+    nan_row_stat,
+)
 from .historical import MAD_TO_SIGMA
 
 #: Sampled window grid (weeks) used by ``extended_detectors``.
@@ -75,11 +81,8 @@ class SHESD(Detector):
         indices = np.arange(w * period, n)
         offsets = (np.arange(1, w + 1) * period)[np.newaxis, :]
         history = values[indices[:, np.newaxis] - offsets]
-        import warnings
-
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            baseline = np.nanmedian(history, axis=1)
+        with np.errstate(invalid="ignore"):
+            baseline = nan_row_stat(np.nanmedian, history)
         residuals[w * period:] = values[w * period:] - baseline
         return residuals
 
@@ -96,13 +99,10 @@ class SHESD(Detector):
         windows = np.lib.stride_tricks.sliding_window_view(
             residuals, mad_window
         )
-        import warnings
-
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            medians = np.nanmedian(windows, axis=1)
-            mads = np.nanmedian(
-                np.abs(windows - medians[:, np.newaxis]), axis=1
+        with np.errstate(invalid="ignore"):
+            medians = nan_row_stat(np.nanmedian, windows)
+            mads = nan_row_stat(
+                np.nanmedian, np.abs(windows - medians[:, np.newaxis])
             )
         # mads[j] covers residuals[j : j + mad_window]; for point t we
         # need residuals[t - mad_window : t] -> index t - mad_window.

@@ -19,7 +19,6 @@ nan-aware statistics.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .base import (
     FamilyKey,
     ParamValue,
     SeverityStream,
+    nan_row_stat,
     register_family_builder,
 )
 
@@ -88,10 +88,7 @@ class _SeasonalResidual(Detector):
         if n <= w * period:
             return out
         history = _history_matrix(values, w, period)
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            # Rows whose entire same-phase history is missing produce a
-            # NaN baseline, which is the intended output.
-            warnings.simplefilter("ignore", category=RuntimeWarning)
+        with np.errstate(invalid="ignore"):
             baseline = self._baseline(history)
         out[w * period:] = np.abs(values[w * period:] - baseline)
         return out
@@ -131,10 +128,7 @@ class _SeasonalStream(SeverityStream):
                 position - np.arange(1, self._window + 1) * self._period
             ) % size
             history = self._ring[offsets]
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                # An all-NaN history (every same-phase point missing)
-                # legitimately yields a NaN baseline.
-                warnings.simplefilter("ignore", category=RuntimeWarning)
+            with np.errstate(invalid="ignore"):
                 baseline = self._baseline(history[np.newaxis, :])[0]
             severity = abs(value - baseline)
         self._ring[position] = value
@@ -159,7 +153,7 @@ class TSD(_SeasonalResidual):
         return {"win": f"{self.window_weeks}w"}
 
     def _baseline(self, history: np.ndarray) -> np.ndarray:
-        return np.nanmean(history, axis=1)
+        return nan_row_stat(np.nanmean, history)
 
 
 class TSDMad(_SeasonalResidual):
@@ -183,7 +177,7 @@ class TSDMad(_SeasonalResidual):
         return {"win": f"{self.window_weeks}w"}
 
     def _baseline(self, history: np.ndarray) -> np.ndarray:
-        return np.nanmedian(history, axis=1)
+        return nan_row_stat(np.nanmedian, history)
 
 
 @register_family_builder("seasonal-residual")
@@ -220,8 +214,7 @@ class SeasonalResidualEvaluator(FamilyEvaluator):
                 continue
             history = _history_matrix(values, w, period)
             tail = values[start:]
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", category=RuntimeWarning)
+            with np.errstate(invalid="ignore"):
                 for j, config in items:
                     baseline = config.detector._baseline(history)
                     out[start:, j] = np.abs(tail - baseline)

@@ -13,6 +13,7 @@ service checkpoints and across the serve plane's shard processes.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ class AnomalyDiagnoser:
         self.seed = seed
         self.kinds_: Optional[List[str]] = None
         self._forests: Dict[str, RandomForest] = {}
+        self._json: Optional[str] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -56,6 +58,7 @@ class AnomalyDiagnoser:
                 f"need at least two anomaly kinds to fit, got {observed}"
             )
         labels = np.asarray(kinds)
+        self._json = None
         self._forests = {}
         for offset, kind in enumerate(observed):
             forest = RandomForest(
@@ -123,6 +126,18 @@ class AnomalyDiagnoser:
                 kind: self._forests[kind].to_dict() for kind in kinds
             },
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, encoded once per fit.
+
+        Every KPI of a shard shares one fitted diagnoser and writes it
+        into each service checkpoint; the text is kept on the diagnoser
+        itself, so the shard encodes it once until :meth:`fit` runs
+        again.
+        """
+        if self._json is None:
+            self._json = json.dumps(self.to_dict())
+        return self._json
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "AnomalyDiagnoser":

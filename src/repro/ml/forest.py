@@ -16,6 +16,7 @@ returns the fraction of trees voting anomaly, which the cThld machinery
 
 from __future__ import annotations
 
+import json
 from typing import List, Optional
 
 import numpy as np
@@ -58,9 +59,11 @@ class RandomForest(Classifier):
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.trees_: List[DecisionTree] = []
+        self._json: Optional[str] = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForest":
         features, labels = self._check_fit_inputs(features, labels)
+        self._json = None
         n = features.shape[0]
         binner = Binner().fit(features)
         binned = binner.transform(features)
@@ -158,6 +161,17 @@ class RandomForest(Classifier):
             "n_features": self.n_features_,
             "trees": [tree.to_dict() for tree in self.trees_],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, encoded once per fit.
+
+        A deployed service saves the same fitted forest at every
+        checkpoint, so the text is kept until :meth:`fit` replaces the
+        trees.
+        """
+        if self._json is None:
+            self._json = json.dumps(self.to_dict())
+        return self._json
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomForest":

@@ -130,7 +130,9 @@ class IngestPlane:
             writer.close()
             try:
                 await writer.wait_closed()
-            except ConnectionError:
+            except (ConnectionError, asyncio.CancelledError):
+                # Shutdown may cancel this task while it waits for the
+                # close; letting that escape makes asyncio log it.
                 pass
 
     async def _handle_one(

@@ -144,3 +144,72 @@ class TestHistoricalMad:
         values[14] = np.nan
         out = HistoricalMad(1, 2).severities(ts(values))
         assert np.isnan(out[14])
+
+
+class TestAllNaNHistory:
+    """All-NaN same-phase histories give NaN baselines without numpy's
+    RuntimeWarning (an error under the test config) and without
+    touching the process-global warning filters."""
+
+    @staticmethod
+    def reference(stat, matrix):
+        import warnings
+
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            return stat(matrix, axis=1)
+
+    @pytest.mark.parametrize("stat", [np.nanmean, np.nanmedian])
+    def test_nan_row_stat_is_bit_identical(self, stat):
+        from repro.detectors.base import nan_row_stat
+
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(40, 5))
+        matrix[rng.random(matrix.shape) < 0.3] = np.nan
+        matrix[[0, 1, 7, 20, 21, 22, 39]] = np.nan
+        matrix[5, 0] = np.inf
+        expected = self.reference(stat, matrix)
+        with np.errstate(invalid="ignore"):
+            actual = nan_row_stat(stat, matrix)
+        assert np.isnan(actual[[0, 1, 7, 20, 21, 22, 39]]).all()
+        # Bit-identical wherever a value exists (numpy's own NaN for an
+        # empty row may carry a sign bit; severities take abs()).
+        observed = ~np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(actual), ~observed)
+        np.testing.assert_array_equal(
+            actual[observed].view(np.int64), expected[observed].view(np.int64)
+        )
+
+    def test_nan_row_stat_sliding_view_left_intact(self):
+        from repro.detectors.base import nan_row_stat
+
+        values = np.array([np.nan] * 6 + [1.0, 4.0, 2.0, np.nan, 5.0])
+        windows = np.lib.stride_tricks.sliding_window_view(values, 3)
+        actual = nan_row_stat(np.nanmedian, windows)
+        np.testing.assert_array_equal(
+            actual, self.reference(np.nanmedian, windows)
+        )
+        assert np.isnan(values[:6]).all() and values[7] == 4.0
+
+    @pytest.mark.parametrize("cls", [TSD, TSDMad])
+    def test_missing_phase_history_batch_and_stream(self, cls):
+        # A 4-point week whose phase 1 is missing in weeks 0 and 1: the
+        # 2-week baseline for that phase in week 2 is all-NaN.
+        values = [1.0, np.nan, 3.0, 4.0,  2.0, np.nan, 4.0, 5.0,
+                  3.0, 7.0, 5.0, 6.0,  4.0, 8.0, 6.0, 7.0]
+        detector = cls(window_weeks=2, points_per_week=4)
+        batch = detector.severities(ts(values))
+        stream = detector.stream()
+        streamed = np.array([stream.update(v) for v in values])
+        assert np.isnan(batch[9]) and np.isnan(streamed[9])
+        assert batch[8] == pytest.approx(1.5)
+        np.testing.assert_array_equal(batch, streamed)
+
+    def test_shesd_with_missing_weeks(self):
+        from repro.detectors.shesd import SHESD
+
+        values = np.arange(40, dtype=float) % 4 + 10.0
+        values[4:13] = np.nan
+        out = SHESD(window_weeks=1, points_per_week=4).severities(ts(values))
+        assert out.shape == (40,)
+        assert np.isnan(out[:8]).all()

@@ -12,6 +12,7 @@ alert stream stays bit-identical to an undisturbed twin fleet.
 """
 
 import json
+import logging
 import os
 import signal
 import socket
@@ -676,6 +677,35 @@ class TestBackpressure:
                 json.dumps({"kpi": "kpi-000", "value": 1.0}).encode(),
             )
             assert status == 429
+
+
+class TestShutdown:
+    def test_stop_with_open_keep_alive_connections_logs_nothing(
+        self, caplog
+    ):
+        """A handler cancelled by shutdown while it waits for its
+        connection to close must not surface as an asyncio error log.
+        The race is timing-dependent (one client hangs up just before
+        the stop), so the stop is repeated."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        for _ in range(12):
+            server = ReproServer(_SaturatedSupervisor()).start()
+            connections = []
+            for _ in range(3):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=10
+                )
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                connections.append(connection)
+            connections[0].close()
+            server.close()
+            for connection in connections:
+                connection.close()
+        assert [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio"
+        ] == []
 
 
 # ----------------------------------------------------------------------
