@@ -45,8 +45,6 @@ MAX_TRAIN_POINTS = 6000
 
 #: Environment knobs selecting the extraction backend/worker count for
 #: every bench that builds a FeatureExtractor (docs/performance.md).
-#: The severity cache is controlled by $REPRO_CACHE_DIR, which the
-#: extractor picks up on its own.
 BENCH_BACKEND_ENV = "REPRO_BENCH_BACKEND"
 BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
@@ -54,8 +52,7 @@ BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
 def bench_extractor(configs=None) -> FeatureExtractor:
     """A FeatureExtractor honouring the benchmark environment knobs:
     ``REPRO_BENCH_BACKEND`` (serial/thread/process, default historical
-    behaviour), ``REPRO_BENCH_WORKERS`` (0 = one per CPU), and
-    ``REPRO_CACHE_DIR`` (severity cache)."""
+    behaviour) and ``REPRO_BENCH_WORKERS`` (0 = one per CPU)."""
     backend = os.environ.get(BENCH_BACKEND_ENV) or None
     workers = int(os.environ.get(BENCH_WORKERS_ENV, "1"))
     return FeatureExtractor(configs, workers=workers, backend=backend)

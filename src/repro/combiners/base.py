@@ -16,6 +16,23 @@ import abc
 import numpy as np
 
 
+def column_quantile(features: np.ndarray, q: float, fill: float) -> np.ndarray:
+    """Per-configuration training quantile ``q`` of the finite
+    severities, ``fill`` where a column has none (or the quantile is
+    not finite).
+
+    All-NaN columns are left out of ``np.nanquantile``, which would warn
+    on them; each column is reduced on its own, so every value equals
+    the plain call's bit for bit.
+    """
+    cleaned = np.where(np.isfinite(features), features, np.nan)
+    observed = ~np.isnan(cleaned).all(axis=0)
+    quantiles = np.full(cleaned.shape[1], np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quantiles[observed] = np.nanquantile(cleaned[:, observed], q, axis=0)
+    return np.where(np.isfinite(quantiles), quantiles, fill)
+
+
 class StaticCombiner(abc.ABC):
     """A fit/score combiner over severity feature matrices."""
 

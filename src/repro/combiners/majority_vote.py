@@ -12,11 +12,9 @@ combination down.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .base import StaticCombiner
+from .base import StaticCombiner, column_quantile
 
 
 class MajorityVote(StaticCombiner):
@@ -36,16 +34,8 @@ class MajorityVote(StaticCombiner):
 
     def fit(self, features: np.ndarray) -> "MajorityVote":
         features = self._check_fit(features)
-        cleaned = np.where(np.isfinite(features), features, np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            self.thresholds_ = np.nanquantile(
-                cleaned, self.vote_quantile, axis=0
-            )
         # All-NaN training columns can never vote.
-        self.thresholds_ = np.where(
-            np.isfinite(self.thresholds_), self.thresholds_, np.inf
-        )
+        self.thresholds_ = column_quantile(features, self.vote_quantile, np.inf)
         return self
 
     def score(self, features: np.ndarray) -> np.ndarray:

@@ -9,11 +9,9 @@ inaccurate configurations").
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .base import StaticCombiner
+from .base import StaticCombiner, column_quantile
 
 
 class NormalizationSchema(StaticCombiner):
@@ -40,14 +38,9 @@ class NormalizationSchema(StaticCombiner):
 
     def fit(self, features: np.ndarray) -> "NormalizationSchema":
         features = self._check_fit(features)
-        cleaned = np.where(np.isfinite(features), features, np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            self.low_ = np.nanquantile(cleaned, self.lower_quantile, axis=0)
-            self.high_ = np.nanquantile(cleaned, self.upper_quantile, axis=0)
         # Configurations that were all-NaN in training contribute 0.
-        self.low_ = np.where(np.isfinite(self.low_), self.low_, 0.0)
-        self.high_ = np.where(np.isfinite(self.high_), self.high_, 0.0)
+        self.low_ = column_quantile(features, self.lower_quantile, 0.0)
+        self.high_ = column_quantile(features, self.upper_quantile, 0.0)
         return self
 
     def score(self, features: np.ndarray) -> np.ndarray:

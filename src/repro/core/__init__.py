@@ -22,12 +22,10 @@ from .execution import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    build_tasks,
     resolve_backend,
     resolve_workers,
 )
-from .feature_matrix import FeatureExtractor, FeatureMatrix, extract_features
-from .severity_cache import CACHE_DIR_ENV, SeverityCache, column_key, series_digest
+from .feature_matrix import FeatureExtractor, FeatureMatrix
 from .opprentice import (
     DetectionResult,
     OnlineRun,
@@ -84,19 +82,13 @@ __all__ = [
     "load_service_checkpoint",
     "FeatureExtractor",
     "FeatureMatrix",
-    "extract_features",
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "build_tasks",
     "resolve_backend",
     "resolve_workers",
-    "SeverityCache",
-    "CACHE_DIR_ENV",
-    "column_key",
-    "series_digest",
     "backtest_preferences",
     "PreferenceOutcome",
     "render_backtest",

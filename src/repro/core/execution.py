@@ -3,14 +3,13 @@
 The paper's per-point detection cost is dominated by running the
 14-detector / 133-configuration bank, and §5.8 notes that "all the
 detectors can run in parallel". This module turns that observation into
-an explicit execution layer: the extraction work is first compiled into
-:class:`ExtractionTask` units (one fused :class:`FamilyTask` per
-detector family — see :func:`repro.detectors.build_family_evaluators` —
-so sibling configurations share their window sums, seasonal gathers and
-smoothing sweeps), then an :class:`ExecutionBackend` decides *where*
-the tasks run:
+an explicit execution layer: the bank is first compiled into fused
+:class:`~repro.detectors.base.FamilyEvaluator` units (see
+:func:`repro.detectors.build_family_evaluators` — sibling configurations
+share their window sums, seasonal gathers and smoothing sweeps), then an
+:class:`ExecutionBackend` decides *where* the evaluators run:
 
-* ``serial`` — one task after another in the calling thread;
+* ``serial`` — one evaluator after another in the calling thread;
 * ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; real
   speed-ups only for detectors that release the GIL (SVD, the seasonal
   matrices), the pure-Python ones serialize;
@@ -21,12 +20,12 @@ the tasks run:
   (and cache until the name changes), and only the per-configuration
   float64 severity columns travel back. ``close()`` — or garbage
   collection, via ``weakref.finalize`` — releases the pool and segment;
-  a crashed worker triggers one pool re-fork and the undelivered tasks
-  are resubmitted.
+  a crashed worker triggers one pool re-fork and the undelivered
+  evaluators are resubmitted.
 
 Whatever the backend, results are assembled into the feature matrix by
-each task's registry indices, so the matrix is bit-identical across all
-three backends (the test suite enforces this for the full Table 3
+each evaluator's registry indices, so the matrix is bit-identical across
+all three backends (the test suite enforces this for the full Table 3
 bank). Code reachable from the worker entry points must not mutate
 module-level state — mutations would be invisible to the parent and
 make results depend on worker scheduling; the ``worker-reachability``
@@ -39,13 +38,11 @@ from __future__ import annotations
 import abc
 import os
 import weakref
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..detectors import DetectorConfig
-from ..detectors.base import FamilyEvaluator, build_family_evaluators
+from ..detectors.base import FamilyEvaluator
 from ..obs import get_provider
 from ..timeseries import TimeSeries
 
@@ -86,66 +83,11 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-# ----------------------------------------------------------------------
-# Task model
-# ----------------------------------------------------------------------
-class ExtractionTask(abc.ABC):
-    """One unit of extraction work filling one or more matrix columns."""
-
-    #: Feature-matrix column indices this task fills, in output order.
-    indices: Tuple[int, ...]
-    #: Feature names of those columns (cache keys derive from these).
-    names: Tuple[str, ...]
-    #: Detector family, for the per-task latency histogram label.
-    kind: str
-
-    @abc.abstractmethod
-    def run(self, series: TimeSeries) -> np.ndarray:
-        """Severity columns of shape ``(len(series), len(indices))``."""
-
-
-@dataclass(frozen=True)
-class FamilyTask(ExtractionTask):
-    """One fused pass over a detector family's configurations."""
-
-    evaluator: FamilyEvaluator
-
-    @property
-    def indices(self) -> Tuple[int, ...]:
-        return self.evaluator.indices
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self.evaluator.names
-
-    @property
-    def kind(self) -> str:
-        return self.evaluator.kind
-
-    def run(self, series: TimeSeries) -> np.ndarray:
-        return np.asarray(self.evaluator.evaluate(series), dtype=np.float64)
-
-
-def build_tasks(configs: Sequence[DetectorConfig]) -> List[ExtractionTask]:
-    """Compile a configuration bank into extraction tasks.
-
-    Configurations are grouped by detector family (window bank,
-    seasonal residuals, historical grids, the Holt-Winters sweep,
-    wavelet bands) into one fused :class:`FamilyTask` each; a config
-    with no family becomes a single-config task. The grouping also
-    works on arbitrary *subsets* of a bank — the cache layer compiles
-    tasks only for the columns it misses.
-    """
-    return [
-        FamilyTask(evaluator=evaluator)
-        for evaluator in build_family_evaluators(configs)
-    ]
-
-
 def _run_task_instrumented(
-    task: ExtractionTask, series: TimeSeries, backend: str
+    evaluator: FamilyEvaluator, series: TimeSeries, backend: str
 ) -> np.ndarray:
-    """Run one task under the standard observability envelope.
+    """Run one evaluator under the standard observability envelope,
+    returning its columns as float64.
 
     In process-backend workers the global provider is the no-op, so the
     span/timer cost nothing there; the parent's ``feature_matrix.extract``
@@ -155,25 +97,25 @@ def _run_task_instrumented(
     with obs.span(
         "extract.config",
         backend=backend,
-        detector=task.kind,
-        n_columns=len(task.indices),
+        detector=evaluator.kind,
+        n_columns=len(evaluator.configs),
     ):
         with obs.timer(
             "repro_detector_severities_seconds",
             "Severity extraction per detector configuration batch",
-            detector=task.kind,
+            detector=evaluator.kind,
         ):
-            return task.run(series)
+            return np.asarray(evaluator.evaluate(series), dtype=np.float64)
 
 
-TaskResult = Tuple[ExtractionTask, np.ndarray]
+TaskResult = Tuple[FamilyEvaluator, np.ndarray]
 
 
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
 class ExecutionBackend(abc.ABC):
-    """Strategy deciding where extraction tasks execute."""
+    """Strategy deciding where family evaluators execute."""
 
     name: str = "backend"
 
@@ -182,9 +124,9 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def run_tasks(
-        self, tasks: Sequence[ExtractionTask], series: TimeSeries
+        self, evaluators: Sequence[FamilyEvaluator], series: TimeSeries
     ) -> Iterator[TaskResult]:
-        """Yield ``(task, columns)`` pairs in any completion order."""
+        """Yield ``(evaluator, columns)`` pairs in any completion order."""
 
     def close(self) -> None:
         """Release any long-lived resources (pools, shared memory).
@@ -195,48 +137,48 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task in the calling thread, registry order."""
+    """Run every evaluator in the calling thread, registry order."""
 
     name = "serial"
 
     def run_tasks(
-        self, tasks: Sequence[ExtractionTask], series: TimeSeries
+        self, evaluators: Sequence[FamilyEvaluator], series: TimeSeries
     ) -> Iterator[TaskResult]:
-        for task in tasks:
-            yield task, _run_task_instrumented(task, series, self.name)
+        for evaluator in evaluators:
+            yield evaluator, _run_task_instrumented(evaluator, series, self.name)
 
 
 class ThreadBackend(ExecutionBackend):
-    """Fan tasks out over a thread pool (GIL-releasing detectors only
+    """Fan evaluators out over a thread pool (GIL-releasing detectors only
     actually overlap; this is the pre-existing behaviour)."""
 
     name = "thread"
 
     def run_tasks(
-        self, tasks: Sequence[ExtractionTask], series: TimeSeries
+        self, evaluators: Sequence[FamilyEvaluator], series: TimeSeries
     ) -> Iterator[TaskResult]:
-        if self.workers <= 1 or len(tasks) <= 1:
-            yield from SerialBackend(1).run_tasks(tasks, series)
+        if self.workers <= 1 or len(evaluators) <= 1:
+            yield from SerialBackend(1).run_tasks(evaluators, series)
             return
         from concurrent.futures import ThreadPoolExecutor
 
-        def run(task: ExtractionTask) -> TaskResult:
-            return task, _run_task_instrumented(task, series, self.name)
+        def run(evaluator: FamilyEvaluator) -> TaskResult:
+            return evaluator, _run_task_instrumented(evaluator, series, self.name)
 
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            yield from pool.map(run, tasks)
+            yield from pool.map(run, evaluators)
 
 
 # -- process backend ---------------------------------------------------
 # Worker-global read-only series, attached (and cached) per shared-
 # memory segment name: the persistent pool outlives any one series, so
-# each task carries the segment metadata and the worker swaps its
+# each submission carries the segment metadata and the worker swaps its
 # mapping only when the name changes.
 _worker_series: Optional[TimeSeries] = None
 _worker_shm = None
 _worker_segment: Optional[str] = None
 
-#: Segment metadata shipped with every task submission:
+#: Segment metadata shipped with every evaluator submission:
 #: ``(shm_name, n_points, interval, start, name)``.
 SeriesMeta = Tuple[str, int, int, int, str]
 
@@ -268,11 +210,9 @@ def _process_worker_attach(  # repro: disable=worker-reachability — caches the
     return _worker_series
 
 
-def _process_worker_run(
-    meta: SeriesMeta, task: ExtractionTask
-) -> Tuple[ExtractionTask, np.ndarray]:
+def _process_worker_run(meta: SeriesMeta, evaluator: FamilyEvaluator) -> TaskResult:
     series = _process_worker_attach(*meta)
-    return task, _run_task_instrumented(task, series, "process")
+    return evaluator, _run_task_instrumented(evaluator, series, "process")
 
 
 class _PoolResources:
@@ -304,7 +244,7 @@ class _PoolResources:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Fan tasks out over a persistent process pool via shared memory.
+    """Fan evaluators out over a persistent process pool via shared memory.
 
     The pool is forked on first use and *reused across ``run_tasks``
     calls* — repeated extractions (the fleet loop, retraining) no
@@ -319,7 +259,7 @@ class ProcessBackend(ExecutionBackend):
     so an abandoned backend — or an abandoned ``run_tasks`` generator —
     never orphans the segment. If a worker dies mid-flight
     (``BrokenProcessPool``), the pool is re-forked once and the
-    not-yet-delivered tasks are resubmitted.
+    not-yet-delivered evaluators are resubmitted.
     """
 
     name = "process"
@@ -363,40 +303,40 @@ class ProcessBackend(ExecutionBackend):
             self._finalizer()
 
     def run_tasks(
-        self, tasks: Sequence[ExtractionTask], series: TimeSeries
+        self, evaluators: Sequence[FamilyEvaluator], series: TimeSeries
     ) -> Iterator[TaskResult]:
-        if self.workers <= 1 or len(tasks) <= 1 or len(series) == 0:
-            yield from SerialBackend(1).run_tasks(tasks, series)
+        if self.workers <= 1 or len(evaluators) <= 1 or len(series) == 0:
+            yield from SerialBackend(1).run_tasks(evaluators, series)
             return
         from concurrent.futures.process import BrokenProcessPool
 
         meta = self._publish_series(series)
-        pending: List[ExtractionTask] = list(tasks)
+        pending: List[FamilyEvaluator] = list(evaluators)
         refork_budget = 1
         while pending:
             pool = self._ensure_pool()
             futures = [
-                pool.submit(_process_worker_run, meta, task)
-                for task in pending
+                pool.submit(_process_worker_run, meta, evaluator)
+                for evaluator in pending
             ]
             try:
                 for offset, future in enumerate(futures):
                     try:
-                        task, columns = future.result()
+                        evaluator, columns = future.result()
                     except BrokenProcessPool:
                         # A worker died. Re-fork once and resubmit the
-                        # tasks whose results were not delivered yet.
+                        # evaluators whose results were not delivered yet.
                         if refork_budget <= 0:
                             raise
                         refork_budget -= 1
                         self._ensure_resources().drop_pool()
                         pending = pending[offset:]
                         break
-                    yield task, columns
+                    yield evaluator, columns
                 else:
                     pending = []
             finally:
-                # Runs on normal exit, task exceptions, *and* early
+                # Runs on normal exit, evaluator exceptions, *and* early
                 # generator disposal: never leave the persistent pool
                 # grinding through work nobody will collect. The shared
                 # segment itself stays owned by the backend — close()

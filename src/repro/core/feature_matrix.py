@@ -11,33 +11,28 @@ configurations (the window bank, the Holt-Winters sweep, the seasonal
 and historical grids, the wavelet bands) share one fused numpy pass
 each (see :func:`repro.detectors.build_family_evaluators`). *Where* the
 work runs is delegated to an execution backend (``serial`` / ``thread``
-/ ``process``, see :mod:`repro.core.execution`), and already-computed
-columns are served from an optional content-addressed
-:class:`~repro.core.severity_cache.SeverityCache` — the matrix is
-bit-identical whichever combination is active (see
-docs/performance.md). For the online loop, :meth:`FeatureExtractor.
-extract_point` feeds one point through warm per-family streams instead
-of re-running any batch pass.
+/ ``process``, see :mod:`repro.core.execution`); the matrix is
+bit-identical whichever is active (see docs/performance.md). The online
+loop does not come through here: :class:`repro.detectors.StreamBank`
+feeds one point at a time through warm per-family streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..detectors import DetectorConfig, StreamBank, configs_for
+from ..detectors import DetectorConfig, build_family_evaluators, configs_for
 from ..obs import get_provider
 from ..timeseries import TimeSeries
 from .execution import (
     BackendSpec,
     ExecutionBackend,
-    build_tasks,
     resolve_backend,
     resolve_workers,
 )
-from .severity_cache import SeverityCache, column_key, series_digest
 
 
 @dataclass
@@ -104,13 +99,6 @@ class FeatureExtractor:
         configurations out over real cores with the series shared via
         :mod:`multiprocessing.shared_memory`; all backends produce
         bit-identical matrices.
-    cache:
-        Severity-column cache: a
-        :class:`~repro.core.severity_cache.SeverityCache`, ``True``
-        (fresh in-memory cache, disk-backed when ``$REPRO_CACHE_DIR``
-        is set), ``False`` (caching off even if the environment enables
-        it), or ``None`` (default: on only when ``$REPRO_CACHE_DIR`` is
-        set).
     """
 
     def __init__(
@@ -119,22 +107,12 @@ class FeatureExtractor:
         *,
         workers: int = 1,
         backend: BackendSpec = None,
-        cache: Union[SeverityCache, bool, None] = None,
     ):
         self.workers = resolve_workers(workers)
         self._configs: Optional[List[DetectorConfig]] = (
             list(configs) if configs is not None else None
         )
-        self._stream_bank: Optional[StreamBank] = None
         self.backend: ExecutionBackend = resolve_backend(backend, self.workers)
-        if cache is True:
-            self.cache: Optional[SeverityCache] = SeverityCache.from_env() or SeverityCache()
-        elif cache is False:
-            self.cache = None
-        elif cache is None:
-            self.cache = SeverityCache.from_env()
-        else:
-            self.cache = cache
 
     def configs(self, series: Optional[TimeSeries] = None) -> List[DetectorConfig]:
         if self._configs is None:
@@ -162,14 +140,8 @@ class FeatureExtractor:
         return [c.name for c in self._configs]
 
     def extract(self, series: TimeSeries) -> FeatureMatrix:
-        """The full severity matrix for ``series``.
-
-        Cached columns are filled first (a column hit costs one dict or
-        file lookup, no detector runs); only the *missing* configs are
-        compiled into fused family tasks for the execution backend, so
-        a partial hit reruns exactly the cold columns. A fully warm
-        cache therefore performs zero detector evaluations.
-        """
+        """The full severity matrix for ``series``: the bank compiled
+        into fused family evaluators, run on the execution backend."""
         configs = self.configs(series)
         n = len(series)
         obs = get_provider()
@@ -185,71 +157,14 @@ class FeatureExtractor:
                 "Workers used by the active extraction backend",
             ).set(self.backend.workers)
             matrix = np.full((n, len(configs)), np.nan)
-
-            key_for: dict = {}
-            if self.cache is not None:
-                digest = series_digest(series)
-                key_for = {
-                    config.index: column_key(config.name, digest)
-                    for config in configs
-                }
-                missing: List[DetectorConfig] = []
-                hits = misses = 0
-                for config in configs:
-                    column = self.cache.get(key_for[config.index])
-                    if column is not None:
-                        hits += 1
-                        matrix[:, config.index] = column
-                    else:
-                        misses += 1
-                        missing.append(config)
-                obs.counter(
-                    "repro_extract_cache_hits_total",
-                    "Severity columns served from the cache",
-                ).inc(hits)
-                obs.counter(
-                    "repro_extract_cache_misses_total",
-                    "Severity columns that had to be recomputed",
-                ).inc(misses)
-            else:
-                missing = list(configs)
-
-            if missing:
-                tasks = build_tasks(missing)
-                for task, columns in self.backend.run_tasks(tasks, series):
-                    for j, index in enumerate(task.indices):
-                        matrix[:, index] = columns[:, j]
-                        if self.cache is not None:
-                            self.cache.put(key_for[index], columns[:, j])
+            evaluators = build_family_evaluators(configs)
+            for evaluator, columns in self.backend.run_tasks(evaluators, series):
+                matrix[:, list(evaluator.indices)] = columns
         obs.counter(
             "repro_feature_points_total",
             "Points x extraction passes through the detector bank",
         ).inc(n)
         return FeatureMatrix(values=matrix, names=[c.name for c in configs])
-
-    # ------------------------------------------------------------------
-    # Incremental path and lifecycle
-    # ------------------------------------------------------------------
-    def stream_bank(self) -> StreamBank:
-        """The extractor's warm per-point bank (built lazily; the
-        configs must be resolved first). One fused stream per family —
-        see :class:`repro.detectors.StreamBank`."""
-        if self._stream_bank is None:
-            if self._configs is None:
-                raise RuntimeError("extractor has no configs yet")
-            self._stream_bank = StreamBank(self._configs)
-        return self._stream_bank
-
-    def extract_point(self, value: float) -> np.ndarray:
-        """Severity row for one new point via warm family streams.
-
-        This is the §4.3.2 online path: no batch recompute, one fused
-        state update per family, microseconds per point. The row is
-        bit-identical (or documented-ULP-close, see
-        docs/performance.md) to the corresponding row of
-        :meth:`extract` over the same prefix.
-        """
-        return self.stream_bank().extract_point(value)
 
     def close(self) -> None:
         """Release backend resources (the persistent process pool and
@@ -262,17 +177,3 @@ class FeatureExtractor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def extract_features(
-    series: TimeSeries,
-    configs: Optional[Sequence[DetectorConfig]] = None,
-    *,
-    workers: int = 1,
-    backend: BackendSpec = None,
-    cache: Union[SeverityCache, bool, None] = None,
-) -> FeatureMatrix:
-    """One-shot convenience wrapper around :class:`FeatureExtractor`."""
-    return FeatureExtractor(
-        configs, workers=workers, backend=backend, cache=cache
-    ).extract(series)

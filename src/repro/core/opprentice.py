@@ -85,11 +85,10 @@ class Opprentice:
         Strategy for the online cThld; default EWMA (§4.5.2).
     max_train_points:
         Optional training-set size cap (see evaluation harness docs).
-    workers / backend / cache:
-        Feature-extraction execution knobs, passed through to
-        :class:`FeatureExtractor` (see docs/performance.md): worker
-        count (0 = one per CPU), execution backend
-        (serial/thread/process) and severity-column cache.
+
+    Extraction here is serial. To extract in parallel, build the matrix
+    with a configured :class:`FeatureExtractor` and pass it to
+    :meth:`fit_features`.
     """
 
     def __init__(
@@ -100,13 +99,8 @@ class Opprentice:
         cthld_predictor: Optional[CThldPredictor] = None,
         max_train_points: Optional[int] = None,
         seed: int = 0,
-        workers: int = 1,
-        backend=None,
-        cache=None,
     ):
-        self.extractor = FeatureExtractor(
-            configs, workers=workers, backend=backend, cache=cache
-        )
+        self.extractor = FeatureExtractor(configs)
         self.preference = preference
         self.classifier_factory = classifier_factory
         self.cthld_predictor = cthld_predictor or EWMAPredictor(preference)
@@ -482,9 +476,6 @@ def run_online(
     features: Optional[FeatureMatrix] = None,
     max_train_points: Optional[int] = None,
     seed: int = 0,
-    workers: int = 1,
-    backend=None,
-    cache=None,
 ) -> OnlineRun:
     """The paper's online evaluation loop (§5.6).
 
@@ -497,15 +488,15 @@ def run_online(
     4. compute the window's offline best cThld and feed it back.
 
     Pass a precomputed ``features`` matrix to amortise extraction across
-    the EWMA / 5-fold / best-case comparison runs.
+    the EWMA / 5-fold / best-case comparison runs, or to extract it in
+    parallel with a configured :class:`FeatureExtractor`.
     """
     if not series.is_labeled:
         raise ValueError("online evaluation needs a labelled series")
     predictor = predictor or EWMAPredictor(preference)
-    extractor = FeatureExtractor(
-        configs, workers=workers, backend=backend, cache=cache
-    )
-    matrix = features if features is not None else extractor.extract(series)
+    matrix = features
+    if matrix is None:
+        matrix = FeatureExtractor(configs).extract(series)
     if matrix.n_points != len(series):
         raise ValueError(
             f"feature matrix has {matrix.n_points} rows for a series of "

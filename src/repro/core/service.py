@@ -214,23 +214,14 @@ class MonitoringService:
         max_train_points: Optional[int] = None,
         alert_callback: Optional[Callable[[AlertEvent], None]] = None,
         diagnoser=None,
-        workers: int = 1,
-        backend=None,
-        cache=None,
     ):
         if min_duration_points < 1:
             raise ValueError("min_duration_points must be >= 1")
-        # The extraction knobs matter for bootstrap() and retrain(),
-        # which run the full bank over the labelled history; per-point
-        # ingest uses the detector streams and is unaffected.
         self._opprentice = Opprentice(
             configs=configs,
             preference=preference,
             classifier_factory=classifier_factory,
             max_train_points=max_train_points,
-            workers=workers,
-            backend=backend,
-            cache=cache,
         )
         self.min_duration_points = min_duration_points
         self._alert_callback = alert_callback

@@ -14,8 +14,6 @@ aggregator; an entirely-missing block stays missing.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .series import TimeSeries, TimeSeriesError
@@ -52,11 +50,12 @@ def downsample(
         )
     blocks = series.values[: n_blocks * factor].reshape(n_blocks, factor)
     aggregator = _AGGREGATORS[aggregate]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        values = aggregator(blocks, axis=1)
-    all_missing = np.isnan(blocks).all(axis=1)
-    values = np.where(all_missing, np.nan, values)
+    # Entirely-missing blocks stay missing and out of the reduction,
+    # which would warn on them.
+    observed = ~np.isnan(blocks).all(axis=1)
+    values = np.full(n_blocks, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[observed] = aggregator(blocks[observed], axis=1)
 
     labels = None
     if series.labels is not None:

@@ -1,5 +1,7 @@
 """Static combination baseline tests (§5.3.1)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ class TestNormalizationSchema:
         scores = combiner.score(dirty)
         assert np.isfinite(scores).all()
 
+        # An all-NaN training column gets a [0, 0] range, silently.
+        train = X[:300].copy()
+        train[:, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sparse = NormalizationSchema().fit(train)
+        assert sparse.low_[0] == 0.0 and sparse.high_[0] == 0.0
+        np.testing.assert_array_equal(sparse.low_[1:], combiner.low_[1:])
+        np.testing.assert_array_equal(sparse.high_[1:], combiner.high_[1:])
+
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
             NormalizationSchema(lower_quantile=0.9, upper_quantile=0.1)
@@ -81,7 +93,13 @@ class TestMajorityVote:
         X, _ = synthetic_feature_matrix(rng, good=2, bad=1)
         X_train = X[:300].copy()
         X_train[:, 0] = np.nan
-        combiner = MajorityVote().fit(X_train)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            combiner = MajorityVote().fit(X_train)
+        assert combiner.thresholds_[0] == np.inf
+        np.testing.assert_array_equal(
+            combiner.thresholds_[1:], np.quantile(X_train[:, 1:], 0.99, axis=0)
+        )
         scores = combiner.score(X[300:])
         assert scores.max() <= 2 / 3 + 1e-9
 

@@ -1,9 +1,7 @@
-"""Execution backends + severity cache (docs/performance.md).
+"""Execution backends (docs/performance.md).
 
 The contract under test: the feature matrix is *bit-identical* whichever
-backend computes it and whatever the cache state is, worker counts
-resolve the documented way, and a warm cache serves every column without
-a single detector evaluation.
+backend computes it, and worker counts resolve the documented way.
 """
 
 import os
@@ -15,16 +13,11 @@ from repro.core import (
     BACKEND_NAMES,
     FeatureExtractor,
     ProcessBackend,
-    SerialBackend,
-    SeverityCache,
     ThreadBackend,
-    build_tasks,
-    column_key,
     resolve_backend,
     resolve_workers,
-    series_digest,
 )
-from repro.detectors import configs_for
+from repro.detectors import build_family_evaluators, configs_for
 from repro.obs import ObservabilityProvider, set_provider
 
 
@@ -39,19 +32,7 @@ def live_obs():
 
 @pytest.fixture(scope="module")
 def serial_matrix(hourly_kpi):
-    return FeatureExtractor(backend="serial", cache=False).extract(hourly_kpi)
-
-
-class RecordingBackend(SerialBackend):
-    """Serial backend that records how many tasks it was asked to run."""
-
-    def __init__(self):
-        super().__init__(workers=1)
-        self.tasks_run = 0
-
-    def run_tasks(self, tasks, series):
-        self.tasks_run += len(tasks)
-        yield from super().run_tasks(tasks, series)
+    return FeatureExtractor(backend="serial").extract(hourly_kpi)
 
 
 class TestBackendEquivalence:
@@ -59,32 +40,30 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_full_bank_bit_identical(self, hourly_kpi, serial_matrix, backend):
-        matrix = FeatureExtractor(
-            workers=2, backend=backend, cache=False
-        ).extract(hourly_kpi)
+        matrix = FeatureExtractor(workers=2, backend=backend).extract(hourly_kpi)
         assert matrix.n_features == 133
         assert matrix.names == serial_matrix.names
         np.testing.assert_array_equal(matrix.values, serial_matrix.values)
 
     def test_backend_instance_accepted(self, hourly_kpi, serial_matrix):
-        matrix = FeatureExtractor(
-            backend=ProcessBackend(workers=2), cache=False
-        ).extract(hourly_kpi)
+        matrix = FeatureExtractor(backend=ProcessBackend(workers=2)).extract(
+            hourly_kpi
+        )
         np.testing.assert_array_equal(matrix.values, serial_matrix.values)
 
     def test_process_backend_single_worker_falls_back(self, hourly_kpi, serial_matrix):
-        # One worker or one task short-circuits to the serial path.
-        matrix = FeatureExtractor(
-            backend=ProcessBackend(workers=1), cache=False
-        ).extract(hourly_kpi)
+        # One worker or one evaluator short-circuits to the serial path.
+        matrix = FeatureExtractor(backend=ProcessBackend(workers=1)).extract(
+            hourly_kpi
+        )
         np.testing.assert_array_equal(matrix.values, serial_matrix.values)
 
     def test_tasks_cover_every_config_exactly_once(self, hourly_kpi):
         configs = configs_for(hourly_kpi)
-        tasks = build_tasks(configs)
-        indices = [i for task in tasks for i in task.indices]
+        evaluators = build_family_evaluators(configs)
+        indices = [i for e in evaluators for i in e.indices]
         assert sorted(indices) == list(range(len(configs)))
-        names = {n for task in tasks for n in task.names}
+        names = {n for e in evaluators for n in e.names}
         assert names == {c.name for c in configs}
 
 
@@ -108,32 +87,9 @@ class TestWorkerResolution:
         assert set(BACKEND_NAMES) == {"serial", "thread", "process"}
 
 
-class TestSeverityCache:
-    def test_warm_cache_runs_zero_tasks(self, hourly_kpi, live_obs):
-        cache = SeverityCache()
-        backend = RecordingBackend()
-        extractor = FeatureExtractor(backend=backend, cache=cache)
-        cold = extractor.extract(hourly_kpi)
-        cold_tasks = backend.tasks_run
-        assert cold_tasks == len(build_tasks(extractor.configs(hourly_kpi)))
-        warm = extractor.extract(hourly_kpi)
-        assert backend.tasks_run == cold_tasks  # zero detector evaluations
-        np.testing.assert_array_equal(cold.values, warm.values)
-
-        registry = live_obs.registry.snapshot()
-        by_name = {
-            (metric["name"],): sample["value"]
-            for metric in registry["metrics"]
-            for sample in metric["samples"]
-            if metric["name"].startswith("repro_extract_cache")
-        }
-        assert by_name[("repro_extract_cache_hits_total",)] == 133
-        assert by_name[("repro_extract_cache_misses_total",)] == 133
-
+class TestExtractionMetrics:
     def test_extract_workers_gauge(self, hourly_kpi, live_obs):
-        FeatureExtractor(workers=3, backend="thread", cache=False).extract(
-            hourly_kpi
-        )
+        FeatureExtractor(workers=3, backend="thread").extract(hourly_kpi)
         snapshot = live_obs.registry.snapshot()
         gauges = {
             metric["name"]: sample["value"]
@@ -142,79 +98,3 @@ class TestSeverityCache:
             if metric["kind"] == "gauge"
         }
         assert gauges["repro_extract_workers"] == 3
-
-    def test_cache_distinguishes_series(self, hourly_kpi):
-        cache = SeverityCache()
-        extractor = FeatureExtractor(cache=cache)
-        extractor.extract(hourly_kpi)
-        shifted = hourly_kpi.slice(0, len(hourly_kpi) - 1)
-        extractor.extract(shifted)
-        # Different value bytes -> different keys -> no false hits.
-        assert cache.misses == 2 * 133
-        assert cache.hits == 0
-
-    def test_disk_cache_survives_fresh_extractor(self, hourly_kpi, tmp_path):
-        first = FeatureExtractor(cache=SeverityCache(directory=tmp_path))
-        cold = first.extract(hourly_kpi)
-        stored = list(tmp_path.rglob("*.npy"))
-        assert len(stored) == 133
-
-        fresh_cache = SeverityCache(directory=tmp_path)
-        backend = RecordingBackend()
-        fresh = FeatureExtractor(backend=backend, cache=fresh_cache)
-        warm = fresh.extract(hourly_kpi)
-        assert backend.tasks_run == 0
-        assert fresh_cache.hits == 133 and fresh_cache.misses == 0
-        np.testing.assert_array_equal(cold.values, warm.values)
-
-    def test_cache_dir_env_enables_caching(self, hourly_kpi, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        extractor = FeatureExtractor()
-        assert extractor.cache is not None
-        assert extractor.cache.directory == tmp_path
-        # cache=False wins over the environment.
-        assert FeatureExtractor(cache=False).cache is None
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert FeatureExtractor().cache is None
-
-    def test_lru_bound(self):
-        cache = SeverityCache(max_entries=2)
-        for j in range(4):
-            cache.put(f"key{j}", np.arange(3, dtype=float))
-        assert len(cache) == 2
-        assert cache.get("key0") is None
-        assert cache.get("key3") is not None
-        with pytest.raises(ValueError):
-            SeverityCache(max_entries=0)
-
-    def test_cached_columns_are_read_only(self):
-        cache = SeverityCache()
-        cache.put("k", np.arange(4, dtype=float))
-        column = cache.get("k")
-        with pytest.raises(ValueError):
-            column[0] = 99.0
-
-    def test_keys_are_content_addressed(self, hourly_kpi):
-        digest = series_digest(hourly_kpi)
-        assert digest == series_digest(hourly_kpi.copy())
-        other = hourly_kpi.slice(0, len(hourly_kpi) - 1)
-        assert digest != series_digest(other)
-        assert column_key("ewma(alpha=0.5)", digest) != column_key(
-            "ewma(alpha=0.3)", digest
-        )
-
-    def test_partial_hits_recompute_only_missing_columns(self, hourly_kpi):
-        cache = SeverityCache()
-        extractor = FeatureExtractor(cache=cache)
-        full = extractor.extract(hourly_kpi)
-        # Drop one non-HW column from the memory layer: only that task
-        # reruns, the other 132 columns stay served by the cache.
-        digest = series_digest(hourly_kpi)
-        victim = "simple threshold"
-        key = column_key(victim, digest)
-        assert cache._memory.pop(key) is not None
-        backend = RecordingBackend()
-        extractor = FeatureExtractor(backend=backend, cache=cache)
-        again = extractor.extract(hourly_kpi)
-        assert backend.tasks_run == 1
-        np.testing.assert_array_equal(full.values, again.values)

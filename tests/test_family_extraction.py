@@ -14,7 +14,7 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
   fix), agreeing with the strided fallback up to 1e9;
 * the ``process`` backend keeps ONE pool across ``run_tasks`` calls,
   re-forks exactly once when a worker dies, and never orphans its
-  shared-memory segment — even when a task raises and the result
+  shared-memory segment — even when an evaluator raises and the result
   generator is abandoned.
 """
 
@@ -25,17 +25,16 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.core.execution import (
-    ExtractionTask,
-    ProcessBackend,
-    build_tasks,
-)
+from repro.core.execution import ProcessBackend
 from repro.detectors import (
+    DetectorConfig,
+    SimpleThreshold,
     StreamBank,
     build_family_evaluators,
     configs_for,
     rolling_std,
 )
+from repro.detectors.base import FamilyEvaluator
 from repro.timeseries import TimeSeries
 
 #: Families whose per-point stream runs the same fused kernel as the
@@ -90,7 +89,7 @@ class TestFusedEquivalence:
                 )
 
     def test_families_actually_fuse(self, hourly_kpi):
-        """The bank must compile to far fewer tasks than configs —
+        """The bank must compile to far fewer evaluators than configs —
         otherwise the fusion layer silently degenerated to solo runs."""
         configs = configs_for(hourly_kpi)
         evaluators = build_family_evaluators(configs)
@@ -99,11 +98,11 @@ class TestFusedEquivalence:
         assert {"window-bank", "holt-winters"} <= kinds
 
     def test_subset_grouping_covers_exactly_the_subset(self, hourly_kpi):
-        """The cache layer compiles tasks for arbitrary subsets."""
+        """Grouping works on arbitrary subsets of a bank."""
         configs = configs_for(hourly_kpi)
         subset = configs[::7]
-        tasks = build_tasks(subset)
-        indices = sorted(i for task in tasks for i in task.indices)
+        evaluators = build_family_evaluators(subset)
+        indices = sorted(i for e in evaluators for i in e.indices)
         assert indices == sorted(c.index for c in subset)
 
 
@@ -193,45 +192,44 @@ class TestRollingStdOffsets:
 
 
 # ----------------------------------------------------------------------
-# Process-backend lifecycle. The helper tasks live at module level so
+# Process-backend lifecycle. The fake evaluators live at module level so
 # the fork-based workers can unpickle them by qualified name.
 # ----------------------------------------------------------------------
-class _PidTask(ExtractionTask):
+class _PidEvaluator(FamilyEvaluator):
     """Returns the executing worker's PID as a constant column."""
 
     kind = "pid"
 
     def __init__(self, index: int):
-        self.indices = (index,)
-        self.names = (f"pid{index}",)
+        super().__init__([DetectorConfig(index, SimpleThreshold())])
 
-    def run(self, series):
+    def evaluate(self, series):
         return np.full((len(series), 1), float(os.getpid()))
 
 
-class _RaiseTask(ExtractionTask):
-    """Raises inside the worker (an ordinary task failure)."""
+class _RaiseEvaluator(FamilyEvaluator):
+    """Raises inside the worker (an ordinary evaluator failure)."""
 
     kind = "raise"
-    indices = (0,)
-    names = ("raise",)
 
-    def run(self, series):
+    def __init__(self):
+        super().__init__([DetectorConfig(0, SimpleThreshold())])
+
+    def evaluate(self, series):
         raise ValueError("injected task failure")
 
 
-class _KillOnceTask(ExtractionTask):
+class _KillOnceEvaluator(FamilyEvaluator):
     """Kills its worker process the first time it runs; the sentinel
     file makes the resubmitted attempt succeed."""
 
     kind = "kill"
-    indices = (0,)
-    names = ("kill",)
 
     def __init__(self, sentinel: str):
+        super().__init__([DetectorConfig(0, SimpleThreshold())])
         self.sentinel = sentinel
 
-    def run(self, series):
+    def evaluate(self, series):
         if not os.path.exists(self.sentinel):
             with open(self.sentinel, "w"):
                 pass
@@ -251,38 +249,44 @@ class TestPersistentPool:
         call pays a per-call pool fork."""
         backend = ProcessBackend(workers=2)
         series = tiny_series()
-        tasks = [_PidTask(0), _PidTask(1), _PidTask(2)]
+        evaluators = [_PidEvaluator(0), _PidEvaluator(1), _PidEvaluator(2)]
         try:
-            first = dict(
-                (task.indices[0], columns[0, 0])
-                for task, columns in backend.run_tasks(tasks, series)
-            )
+            first = {
+                int(columns[0, 0])
+                for _, columns in backend.run_tasks(evaluators, series)
+            }
             pool_after_first = backend._resources.pool
             assert pool_after_first is not None
-            second = dict(
-                (task.indices[0], columns[0, 0])
-                for task, columns in backend.run_tasks(tasks, series)
-            )
-            # Same executor object — and the tasks really ran in the
-            # same worker processes, not a silently re-forked pool.
+            # The pool's workers, read once: the fork context starts
+            # all of them on first submit, and a re-forked pool would
+            # bring new pids.
+            workers = set(pool_after_first._processes)
+            assert workers and os.getpid() not in workers
+            second = {
+                int(columns[0, 0])
+                for _, columns in backend.run_tasks(evaluators, series)
+            }
+            # Same executor object — and both calls really ran in its
+            # workers, not in the parent or a silently re-forked pool.
+            # Which worker takes which evaluator is up to scheduling.
             assert backend._resources.pool is pool_after_first
-            # The second call's work lands on workers forked for the
-            # first one (scheduling may use fewer, but never new ones).
-            assert set(second.values()) <= set(first.values())
-            assert os.getpid() not in {int(p) for p in first.values()}
+            assert first <= workers
+            assert second <= workers
+            assert os.getpid() not in first | second
         finally:
             backend.close()
 
     def test_segment_is_republished_per_series(self):
         """Each call gets a fresh segment; the previous one is gone."""
         backend = ProcessBackend(workers=2)
+        pair = [_PidEvaluator(0), _PidEvaluator(1)]
         try:
-            list(backend.run_tasks([_PidTask(0), _PidTask(1)], tiny_series()))
+            list(backend.run_tasks(pair, tiny_series()))
             first_name = backend._resources.shm.name
             other = TimeSeries(
                 values=np.arange(16, dtype=float), interval=60, name="other"
             )
-            list(backend.run_tasks([_PidTask(0), _PidTask(1)], other))
+            list(backend.run_tasks(pair, other))
             assert backend._resources.shm.name != first_name
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=first_name)
@@ -293,13 +297,15 @@ class TestPersistentPool:
         backend = ProcessBackend(workers=2)
         series = tiny_series()
         sentinel = tmp_path / "killed-once"
-        tasks = [_PidTask(0), _KillOnceTask(str(sentinel)), _PidTask(2)]
+        evaluators = [
+            _PidEvaluator(0), _KillOnceEvaluator(str(sentinel)), _PidEvaluator(2)
+        ]
         try:
-            results = list(backend.run_tasks(tasks, series))
+            results = list(backend.run_tasks(evaluators, series))
             delivered = sorted(
-                i for task, _ in results for i in task.indices
+                i for evaluator, _ in results for i in evaluator.indices
             )
-            # Every task's result arrives exactly once despite the
+            # Every evaluator's result arrives exactly once despite the
             # mid-flight worker death, served by the re-forked pool.
             assert delivered == [0, 0, 2]
             assert sentinel.exists()
@@ -307,12 +313,12 @@ class TestPersistentPool:
             backend.close()
 
     def test_task_exception_propagates_without_orphaning_segment(self):
-        """Satellite 2: a worker-raised exception abandons the result
+        """A worker-raised exception abandons the result
         generator mid-iteration; close() must still unlink the shared
         segment (pre-fix, the generator owned it and leaked)."""
         backend = ProcessBackend(workers=2)
         series = tiny_series()
-        generator = backend.run_tasks([_RaiseTask(), _PidTask(1)], series)
+        generator = backend.run_tasks([_RaiseEvaluator(), _PidEvaluator(1)], series)
         with pytest.raises(ValueError, match="injected task failure"):
             for _ in generator:
                 pass
@@ -331,7 +337,7 @@ class TestPersistentPool:
         the segment, via the weakref finalizer."""
         backend = ProcessBackend(workers=2)
         series = tiny_series()
-        generator = backend.run_tasks([_PidTask(0), _PidTask(1)], series)
+        generator = backend.run_tasks([_PidEvaluator(0), _PidEvaluator(1)], series)
         next(generator)  # partially consumed, then abandoned
         name = backend._resources.shm.name
         del generator
@@ -344,11 +350,12 @@ class TestPersistentPool:
         backend = ProcessBackend(workers=2)
         series = tiny_series()
         try:
-            list(backend.run_tasks([_PidTask(0), _PidTask(1)], series))
+            pair = [_PidEvaluator(0), _PidEvaluator(1)]
+            list(backend.run_tasks(pair, series))
             backend.close()
             backend.close()
             # Usable again after close: resources are re-acquired.
-            results = list(backend.run_tasks([_PidTask(0), _PidTask(1)], series))
+            results = list(backend.run_tasks(pair, series))
             assert len(results) == 2
         finally:
             backend.close()

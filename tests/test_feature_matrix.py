@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureExtractor, FeatureMatrix, extract_features
+from repro.core import FeatureExtractor, FeatureMatrix
 from repro.detectors import Diff, EWMA, HoltWinters, SimpleThreshold, build_configs
 
 
@@ -62,7 +62,7 @@ class TestFeatureExtractor:
             )
 
     def test_default_bank_is_table3(self, hourly_kpi):
-        matrix = extract_features(hourly_kpi)
+        matrix = FeatureExtractor().extract(hourly_kpi)
         assert matrix.n_features == 133
         assert len(set(matrix.names)) == 133
 

@@ -1,5 +1,7 @@
 """Grid resampling tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ class TestDownsample:
         out = downsample(ts, 2, aggregate="sum")
         assert np.isnan(out.values[0])
         assert out.values[1] == 4.0
+        # Every aggregator, and no all-NaN RuntimeWarning escapes.
+        expected = {"mean": 2.0, "max": 3.0, "min": 1.0, "median": 2.0, "sum": 4.0}
+        for aggregate, value in expected.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = downsample(ts, 2, aggregate=aggregate)
+            assert np.isnan(out.values[0])
+            assert out.values[1] == value
 
     def test_factor_one_is_copy(self):
         ts = series([1.0, 2.0])
