@@ -67,6 +67,19 @@ def test_classification_per_point(benchmark, pv_model):
     assert per_point < 0.01
 
 
+def test_classification_one_row(benchmark, pv_model):
+    """The vote a deployed service pays per arriving point: one row
+    through every tree, next to the batch rate above."""
+    model, imputer, matrix, series = pv_model
+    begin = 8 * series.points_per_week
+    row = imputer.transform(matrix.values[begin:begin + 1])
+    benchmark(lambda: model.predict_proba(row))
+    per_row = benchmark.stats.stats.mean
+    print_header("§5.8: classification, one row")
+    print(f"  forest probability: {per_row * 1e6:.1f} us/row")
+    assert per_row < 0.01
+
+
 def test_training_time_per_round(benchmark, kpis, feature_matrices):
     """One incremental retraining round (paper: < 5 minutes)."""
     series = kpis["PV"].series

@@ -19,37 +19,28 @@ Algorithm (standard LogitBoost-style gradient boosting):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from .base import Classifier
 from .linear import _sigmoid
-from .tree import Binner
+from .tree import Binner, grow, walk
 
-
-@dataclass
-class _RegressionNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+#: A regression tree's node arrays and each one's value at a leaf.
+_NODE_FIELDS = {
+    "feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 0.0,
+}
 
 
 class _RegressionTree:
-    """Histogram least-squares tree with Newton leaf values."""
+    """Histogram least-squares tree with Newton leaf values, held as
+    :class:`~repro.ml.DecisionTree`-style node arrays plus ``value_``."""
 
     def __init__(self, max_depth: int, min_samples_leaf: int, max_bins: int):
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
-        self.nodes_: List[_RegressionNode] = []
 
     def fit(
         self,
@@ -58,33 +49,16 @@ class _RegressionTree:
         hessians: np.ndarray,
         binner: Binner,
     ) -> "_RegressionTree":
-        self._binner = binner
-        self.nodes_ = [_RegressionNode()]
-        stack = [(np.arange(binned.shape[0]), 0, 0)]
-        while stack:
-            indices, depth, slot = stack.pop()
-            node = self.nodes_[slot]
-            node_residuals = residuals[indices]
-            node_hessians = hessians[indices]
-            hessian_sum = node_hessians.sum()
-            node.value = (
-                node_residuals.sum() / hessian_sum if hessian_sum > 0 else 0.0
+        def split_node(indices, depth, slot):
+            hessian_sum = hessians[indices].sum()
+            self.value_[slot] = (
+                residuals[indices].sum() / hessian_sum if hessian_sum > 0 else 0.0
             )
             if depth >= self.max_depth or len(indices) < 2 * self.min_samples_leaf:
-                continue
-            split = self._find_split(binned, residuals, indices)
-            if split is None:
-                continue
-            feature, split_bin = split
-            node.feature = feature
-            node.threshold = binner.threshold_value(feature, split_bin)
-            go_left = binned[indices, feature] <= split_bin
-            node.left = len(self.nodes_)
-            self.nodes_.append(_RegressionNode())
-            node.right = len(self.nodes_)
-            self.nodes_.append(_RegressionNode())
-            stack.append((indices[go_left], depth + 1, node.left))
-            stack.append((indices[~go_left], depth + 1, node.right))
+                return None
+            return self._find_split(binned, residuals, indices)
+
+        grow(self, binned, binner, _NODE_FIELDS, split_node)
         return self
 
     def _find_split(self, binned, residuals, indices):
@@ -124,20 +98,7 @@ class _RegressionTree:
         return best
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        out = np.empty(features.shape[0])
-        pending = [(0, np.arange(features.shape[0]))]
-        while pending:
-            slot, indices = pending.pop()
-            node = self.nodes_[slot]
-            if node.is_leaf:
-                out[indices] = node.value
-                continue
-            go_left = features[indices, node.feature] <= node.threshold
-            if go_left.any():
-                pending.append((node.left, indices[go_left]))
-            if (~go_left).any():
-                pending.append((node.right, indices[~go_left]))
-        return out
+        return self.value_[walk(features, self, [0])[:, 0]]
 
 
 class GradientBoosting(Classifier):

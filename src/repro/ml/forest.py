@@ -11,7 +11,8 @@ classify the point into an anomaly, its anomaly probability is 40%."
 Both randomness sources are implemented exactly: bootstrap resampling
 per tree and sqrt-feature subsampling per split. ``predict_proba``
 returns the fraction of trees voting anomaly, which the cThld machinery
-(default 0.5, §4.4.2) thresholds.
+(default 0.5, §4.4.2) thresholds; one :func:`~repro.ml.tree.walk` over
+the members' stacked node arrays reaches every tree's leaf at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .base import Classifier
-from .tree import Binner, DecisionTree
+from .tree import Binner, DecisionTree, path_contributions, walk
 
 
 class RandomForest(Classifier):
@@ -90,7 +91,21 @@ class RandomForest(Classifier):
                 votes = tree.vote(features[out_of_bag])
                 self._oob_votes[out_of_bag] += votes
                 self._oob_counts[out_of_bag] += 1
+        self._stack()
         return self
+
+    def _stack(self) -> None:
+        """Concatenate the trees' node arrays (never serialised) so one
+        walk from ``roots_`` reaches every tree's leaf."""
+        sizes = [len(tree.feature_) for tree in self.trees_]
+        self.roots_ = np.cumsum([0] + sizes[:-1])
+        for field in ("feature", "threshold", "left", "right", "probability"):
+            setattr(self, field + "_", np.concatenate(
+                [getattr(tree, field + "_") for tree in self.trees_]
+            ))
+        offsets = np.repeat(self.roots_, sizes)
+        self.left_ += offsets
+        self.right_ += offsets
 
     def oob_scores(self) -> np.ndarray:
         """Out-of-bag anomaly probability per training row (NaN for rows
@@ -117,11 +132,8 @@ class RandomForest(Classifier):
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = self._check_predict_inputs(features)
-        if not self.trees_:
-            raise RuntimeError("forest has no trees")
-        votes = np.zeros(features.shape[0], dtype=np.float64)
-        for tree in self.trees_:
-            votes += tree.vote(features)
+        leaves = walk(features, self, self.roots_)
+        votes = np.count_nonzero(self.probability_[leaves] > 0.5, axis=1)
         return votes / len(self.trees_)
 
     def feature_importances(self) -> np.ndarray:
@@ -142,12 +154,7 @@ class RandomForest(Classifier):
         with a trailing bias column.
         """
         features = self._check_predict_inputs(features)
-        if not self.trees_:
-            raise RuntimeError("forest has no trees")
-        total = self.trees_[0].decision_path_contributions(features)
-        for tree in self.trees_[1:]:
-            total += tree.decision_path_contributions(features)
-        return total / len(self.trees_)
+        return path_contributions(features, self, self.roots_) / len(self.trees_)
 
     # ------------------------------------------------------------------
     # Serialisation (portable, pickle-free)
@@ -186,4 +193,5 @@ class RandomForest(Classifier):
                 f"payload has {len(forest.trees_)} trees for "
                 f"n_estimators={forest.n_estimators}"
             )
+        forest._stack()
         return forest

@@ -12,12 +12,15 @@ discretised into up to 256 quantile bins once per training set, and a
 node evaluates all candidate splits of a feature with one
 ``np.bincount``. Split thresholds are mapped back to real feature
 values so prediction runs on raw (unbinned) features.
+
+A fitted tree is the node arrays :meth:`DecisionTree.to_dict` writes
+(root 0, children after their parent, ``feature < 0`` at a leaf), and
+:func:`walk` is the one function that routes rows through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -25,6 +28,17 @@ from .base import Classifier
 
 #: Maximum number of histogram bins per feature.
 MAX_BINS = 256
+
+#: A :class:`DecisionTree`'s node arrays and each one's value at a leaf.
+_NODE_FIELDS = {
+    "feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+    "probability": 0.0, "gain": 0.0,
+}
+
+#: (row, root) pairs :func:`walk` routes at once (655 rows of a 50-tree
+#: forest, 32,768 of one tree): enough to amortise numpy's per-call cost,
+#: few enough for the scratch arrays to stay in cache.
+_WALK_PAIRS = 1 << 15
 
 
 class Binner:
@@ -63,32 +77,16 @@ class Binner:
         return float(self.edges_[feature][bin_code])
 
 
-@dataclass
-class _Node:
-    """Internal tree node (arrays-of-structs keeps traversal fast)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    #: Anomaly fraction of the training samples in the leaf.
-    probability: float = 0.0
-    #: Impurity decrease * node size (gini importance contribution).
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
 def _gini_best_split(
-    counts0: np.ndarray, counts1: np.ndarray
+    counts0: np.ndarray, counts1: np.ndarray, min_samples_leaf: int = 1
 ) -> tuple[float, int]:
     """Best split of one feature's class histograms by gini impurity.
 
     ``counts0[b]``/``counts1[b]`` are class counts in bin ``b``. A split
-    at bin ``b`` sends bins ``<= b`` left. Returns (impurity_decrease,
-    split_bin); split_bin = -1 if no valid split exists.
+    at bin ``b`` sends bins ``<= b`` left, and is valid only if both
+    children keep ``min_samples_leaf`` samples. Returns
+    (impurity_decrease, split_bin); split_bin = -1 if no valid split
+    exists.
     """
     total0, total1 = counts0.sum(), counts1.sum()
     n = total0 + total1
@@ -96,7 +94,7 @@ def _gini_best_split(
     left1 = np.cumsum(counts1)[:-1].astype(np.float64)
     n_left = left0 + left1
     n_right = n - n_left
-    valid = (n_left > 0) & (n_right > 0)
+    valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
     if not valid.any():
         return 0.0, -1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,6 +110,91 @@ def _gini_best_split(
     return float(decrease[best]), best
 
 
+def grow(
+    tree, binned: np.ndarray, binner: Binner, fields: dict, split_node
+) -> None:
+    """Fill ``tree``'s node arrays (``fields``) top-down over ``binned``;
+    ``split_node(indices, depth, slot)`` records node ``slot``'s statistics
+    and returns its ``(feature, bin)`` split, or None for a leaf."""
+    # A binary tree over n samples has at most 2n - 1 nodes.
+    size = 2 * binned.shape[0] - 1
+    for field, fill in fields.items():
+        setattr(tree, field + "_", np.full(size, fill))
+    n_nodes = 1
+    # Explicit stack (sample indices, depth, node slot) avoids
+    # recursion limits on deep fully-grown trees.
+    stack = [(np.arange(binned.shape[0]), 0, 0)]
+    while stack:
+        indices, depth, slot = stack.pop()
+        split = split_node(indices, depth, slot)
+        if split is None:
+            continue
+        feature, split_bin = split
+        tree.feature_[slot] = feature
+        tree.threshold_[slot] = binner.threshold_value(feature, split_bin)
+        tree.left_[slot], tree.right_[slot] = n_nodes, n_nodes + 1
+        go_left = binned[indices, feature] <= split_bin
+        stack.append((indices[go_left], depth + 1, n_nodes))
+        stack.append((indices[~go_left], depth + 1, n_nodes + 1))
+        n_nodes += 2
+    for field in fields:
+        setattr(tree, field + "_", getattr(tree, field + "_")[:n_nodes].copy())
+
+
+def walk(
+    features: np.ndarray, nodes, roots, on_step: Optional[Callable] = None
+) -> np.ndarray:
+    """The (n_rows, n_roots) leaves reached from each root in ``nodes``.
+
+    ``nodes`` has ``feature_``, ``threshold_``, ``left_`` and ``right_``
+    arrays holding one tree or several. Pairs not yet at a leaf step
+    together; ``on_step(rows, at, children)`` sees each step's rows, the
+    nodes they left and the children they reached.
+    """
+    roots = np.asarray(roots, dtype=np.intp)
+    (n_rows, n_features), n_roots = features.shape, len(roots)
+    values = features.reshape(-1)
+    leaves = np.empty((n_rows, n_roots), dtype=np.intp)
+    flat = leaves.reshape(-1)
+    chunk = max(1, _WALK_PAIRS // n_roots)
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        pairs = np.arange(start * n_roots, stop * n_roots)
+        at = roots[pairs % n_roots]
+        row_starts = pairs // n_roots * n_features
+        while len(pairs):
+            split = nodes.feature_[at]
+            leaf = split < 0
+            if leaf.any():
+                flat[pairs[leaf]] = at[leaf]
+                inner = np.flatnonzero(~leaf)
+                pairs, row_starts, at, split = (
+                    pairs[inner], row_starts[inner], at[inner], split[inner]
+                )
+            go_left = values[row_starts + split] <= nodes.threshold_[at]
+            children = np.where(go_left, nodes.left_[at], nodes.right_[at])
+            if on_step is not None:
+                on_step(row_starts // n_features, at, children)
+            at = children
+    return leaves
+
+
+def path_contributions(features: np.ndarray, nodes, roots) -> np.ndarray:
+    """Saabas contributions summed over the trees at ``roots``: each
+    path step adds its change of node probability to the split feature,
+    and the trailing bias column holds the root probabilities."""
+    probability = nodes.probability_
+    contributions = np.zeros((features.shape[0], nodes.n_features_ + 1))
+    contributions[:, -1] = probability[roots].sum()
+
+    def add(rows, at, children):
+        delta = probability[children] - probability[at]
+        np.add.at(contributions, (rows, nodes.feature_[at]), delta)
+
+    walk(features, nodes, roots, add)
+    return contributions
+
+
 class DecisionTree(Classifier):
     """A single fully grown CART tree.
 
@@ -125,6 +208,9 @@ class DecisionTree(Classifier):
     min_samples_leaf / min_samples_split:
         Standard CART stopping controls; the defaults (1 / 2) grow the
         tree fully.
+
+    Fitting sets the node arrays ``feature_``, ``threshold_``, ``left_``,
+    ``right_``, ``probability_`` (anomaly fraction) and ``gain_``.
     """
 
     def __init__(
@@ -147,8 +233,6 @@ class DecisionTree(Classifier):
         self.min_samples_split = min_samples_split
         self.seed = seed
         self.max_bins = max_bins
-        self.nodes_: List[_Node] = []
-        self._binner: Optional[Binner] = None
 
     # ------------------------------------------------------------------
     def _n_split_features(self, n_features: int) -> int:
@@ -175,46 +259,29 @@ class DecisionTree(Classifier):
     ) -> "DecisionTree":
         """Fit on pre-binned features (a forest bins once, fits many)."""
         self.n_features_ = binned.shape[1]
-        self._binner = binner
         rng = np.random.default_rng(self.seed)
         n_split_features = self._n_split_features(binned.shape[1])
-        self.nodes_ = []
-        # Explicit stack (sample indices, depth, node slot) avoids
-        # recursion limits on deep fully-grown trees.
-        root_indices = np.arange(binned.shape[0])
-        self.nodes_.append(_Node())
-        stack = [(root_indices, 0, 0)]
-        while stack:
-            indices, depth, slot = stack.pop()
-            node = self.nodes_[slot]
-            node_labels = labels[indices]
-            n_anomalies = int(node_labels.sum())
-            node.probability = n_anomalies / len(indices)
+
+        def split_node(indices, depth, slot):
+            n_anomalies = int(labels[indices].sum())
+            self.probability_[slot] = n_anomalies / len(indices)
             if (
                 n_anomalies == 0
                 or n_anomalies == len(indices)
                 or len(indices) < self.min_samples_split
                 or (self.max_depth is not None and depth >= self.max_depth)
             ):
-                continue
+                return None
             split = self._find_split(
                 binned, labels, indices, rng, n_split_features
             )
             if split is None:
-                continue
+                return None
             feature, split_bin, decrease = split
-            node.feature = feature
-            node.gain = decrease * len(indices)
-            node.threshold = self._binner.threshold_value(feature, split_bin)
-            go_left = binned[indices, feature] <= split_bin
-            left_indices = indices[go_left]
-            right_indices = indices[~go_left]
-            node.left = len(self.nodes_)
-            self.nodes_.append(_Node())
-            node.right = len(self.nodes_)
-            self.nodes_.append(_Node())
-            stack.append((left_indices, depth + 1, node.left))
-            stack.append((right_indices, depth + 1, node.right))
+            self.gain_[slot] = decrease * len(indices)
+            return feature, split_bin
+
+        grow(self, binned, binner, _NODE_FIELDS, split_node)
         return self
 
     def _find_split(
@@ -239,22 +306,9 @@ class DecisionTree(Classifier):
             counts = np.bincount(
                 codes * 2 + node_labels, minlength=2 * self.max_bins
             ).reshape(-1, 2)
-            counts0, counts1 = counts[:, 0], counts[:, 1]
-            if self.min_samples_leaf > 1:
-                # Mask splits that would create an undersized child.
-                sizes_left = np.cumsum(counts0 + counts1)[:-1]
-                total = sizes_left[-1] + counts0[-1] + counts1[-1]
-                ok = (
-                    (sizes_left >= self.min_samples_leaf)
-                    & (total - sizes_left >= self.min_samples_leaf)
-                )
-                if not ok.any():
-                    continue
-                decrease, split_bin = _gini_best_split_masked(
-                    counts0, counts1, ok
-                )
-            else:
-                decrease, split_bin = _gini_best_split(counts0, counts1)
+            decrease, split_bin = _gini_best_split(
+                counts[:, 0], counts[:, 1], self.min_samples_leaf
+            )
             if split_bin >= 0 and decrease > best_decrease:
                 best_decrease, best_feature, best_bin = decrease, feature, split_bin
         if best_feature < 0:
@@ -264,47 +318,30 @@ class DecisionTree(Classifier):
     # ------------------------------------------------------------------
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         features = self._check_predict_inputs(features)
-        n = features.shape[0]
-        probabilities = np.empty(n, dtype=np.float64)
-        # Vectorised traversal: route index blocks level by level.
-        pending = [(0, np.arange(n))]
-        while pending:
-            slot, indices = pending.pop()
-            node = self.nodes_[slot]
-            if node.is_leaf:
-                probabilities[indices] = node.probability
-                continue
-            go_left = features[indices, node.feature] <= node.threshold
-            left_indices = indices[go_left]
-            right_indices = indices[~go_left]
-            if len(left_indices):
-                pending.append((node.left, left_indices))
-            if len(right_indices):
-                pending.append((node.right, right_indices))
-        return probabilities
+        return self.probability_[walk(features, self, [0])[:, 0]]
 
     def vote(self, features: np.ndarray) -> np.ndarray:
         """Hard per-tree classification (majority class of the leaf) —
         what each forest member contributes to the vote (§4.4.2)."""
         return (self.predict_proba(features) > 0.5).astype(np.int8)
 
+    def _require_fitted(self) -> None:
+        if self.n_features_ is None:
+            raise RuntimeError("tree is not fitted")
+
     @property
     def depth(self) -> int:
         """Maximum depth of the fitted tree (root = 0)."""
-        if not self.nodes_:
-            raise RuntimeError("tree is not fitted")
-        depths = [0] * len(self.nodes_)
-        for slot, node in enumerate(self.nodes_):
-            if not node.is_leaf:
-                depths[node.left] = depths[slot] + 1
-                depths[node.right] = depths[slot] + 1
-        return max(depths)
+        self._require_fitted()
+        depths = np.zeros(len(self.feature_), dtype=np.intp)
+        for slot in np.flatnonzero(self.feature_ >= 0):
+            depths[[self.left_[slot], self.right_[slot]]] = depths[slot] + 1
+        return int(depths.max())
 
     @property
     def n_leaves(self) -> int:
-        if not self.nodes_:
-            raise RuntimeError("tree is not fitted")
-        return sum(node.is_leaf for node in self.nodes_)
+        self._require_fitted()
+        return int((self.feature_ < 0).sum())
 
     def decision_path_contributions(self, features: np.ndarray) -> np.ndarray:
         """Per-feature contributions to each prediction (Saabas method).
@@ -317,104 +354,48 @@ class DecisionTree(Classifier):
         probability for that sample — the invariant the tests enforce.
         """
         features = self._check_predict_inputs(features)
-        n = features.shape[0]
-        contributions = np.zeros((n, self.n_features_ + 1))
-        contributions[:, -1] = self.nodes_[0].probability
-        pending = [(0, np.arange(n))]
-        while pending:
-            slot, indices = pending.pop()
-            node = self.nodes_[slot]
-            if node.is_leaf:
-                continue
-            go_left = features[indices, node.feature] <= node.threshold
-            for child_slot, child_indices in (
-                (node.left, indices[go_left]),
-                (node.right, indices[~go_left]),
-            ):
-                if len(child_indices) == 0:
-                    continue
-                child = self.nodes_[child_slot]
-                contributions[child_indices, node.feature] += (
-                    child.probability - node.probability
-                )
-                pending.append((child_slot, child_indices))
-        return contributions
+        return path_contributions(features, self, [0])
 
     # ------------------------------------------------------------------
     # Serialisation (portable dict-of-arrays; no pickle)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Portable representation of the fitted tree structure."""
-        if not self.nodes_:
-            raise RuntimeError("tree is not fitted")
+        """Portable representation of the fitted tree: its node arrays."""
+        self._require_fitted()
         return {
             "n_features": self.n_features_,
-            "feature": [n.feature for n in self.nodes_],
-            "threshold": [n.threshold for n in self.nodes_],
-            "left": [n.left for n in self.nodes_],
-            "right": [n.right for n in self.nodes_],
-            "probability": [n.probability for n in self.nodes_],
-            "gain": [n.gain for n in self.nodes_],
+            **{
+                field: getattr(self, field + "_").tolist()
+                for field in _NODE_FIELDS
+            },
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionTree":
-        """Rebuild a prediction-ready tree from :meth:`to_dict` output."""
+        """Rebuild a prediction-ready tree from :meth:`to_dict` output.
+        Children must follow their parent, so every walk ends."""
         tree = cls()
         tree.n_features_ = int(payload["n_features"])
-        fields = ("feature", "threshold", "left", "right", "probability", "gain")
-        lengths = {len(payload[field]) for field in fields}
-        if len(lengths) != 1:
+        for field, fill in _NODE_FIELDS.items():
+            values = np.asarray(payload[field], dtype=type(fill))
+            setattr(tree, field + "_", values)
+        lengths = {len(payload[field]) for field in _NODE_FIELDS}
+        if len(lengths) != 1 or 0 in lengths:
             raise ValueError("inconsistent node array lengths")
-        tree.nodes_ = [
-            _Node(
-                feature=int(payload["feature"][i]),
-                threshold=float(payload["threshold"][i]),
-                left=int(payload["left"][i]),
-                right=int(payload["right"][i]),
-                probability=float(payload["probability"][i]),
-                gain=float(payload["gain"][i]),
-            )
-            for i in range(lengths.pop())
-        ]
+        parents = np.flatnonzero(tree.feature_ >= 0)
+        for children in (tree.left_[parents], tree.right_[parents]):
+            if ((children <= parents) | (children >= len(tree.feature_))).any():
+                raise ValueError("child index out of range or before its parent")
         return tree
 
     def feature_importances(self) -> np.ndarray:
         """Gini importance: total (impurity decrease * node size) per
         feature, normalised to sum to 1."""
-        if self.n_features_ is None:
-            raise RuntimeError("tree is not fitted")
-        importances = np.zeros(self.n_features_)
-        for node in self.nodes_:
-            if not node.is_leaf:
-                importances[node.feature] += node.gain
+        self._require_fitted()
+        split = self.feature_ >= 0
+        importances = np.bincount(
+            self.feature_[split], weights=self.gain_[split],
+            minlength=self.n_features_,
+        )
         total = importances.sum()
         return importances / total if total else importances
-
-
-def _gini_best_split_masked(
-    counts0: np.ndarray, counts1: np.ndarray, ok: np.ndarray
-) -> tuple[float, int]:
-    """Gini split with an extra validity mask (min_samples_leaf)."""
-    decrease, _ = _gini_best_split(counts0, counts1)
-    # Recompute the decrease vector with the extra mask applied.
-    total0, total1 = counts0.sum(), counts1.sum()
-    n = total0 + total1
-    left0 = np.cumsum(counts0)[:-1].astype(np.float64)
-    left1 = np.cumsum(counts1)[:-1].astype(np.float64)
-    n_left = left0 + left1
-    n_right = n - n_left
-    valid = (n_left > 0) & (n_right > 0) & ok
-    if not valid.any():
-        return 0.0, -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - (left0 / n_left) ** 2 - (left1 / n_left) ** 2
-        right0, right1 = total0 - left0, total1 - left1
-        gini_right = 1.0 - (right0 / n_right) ** 2 - (right1 / n_right) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-    parent = 1.0 - (total0 / n) ** 2 - (total1 / n) ** 2
-    decreases = np.where(valid, parent - weighted, -np.inf)
-    best = int(np.argmax(decreases))
-    if decreases[best] <= 1e-12:
-        return 0.0, -1
-    return float(decreases[best]), best

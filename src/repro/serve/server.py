@@ -67,6 +67,17 @@ class _HttpError(Exception):
         self.message = message
 
 
+def _is_window(window) -> bool:
+    """A label window as JSON: ``[begin, end]`` integers, ``0 <= begin
+    < end``."""
+    return (
+        isinstance(window, list)
+        and len(window) == 2
+        and all(type(bound) is int for bound in window)
+        and 0 <= window[0] < window[1]
+    )
+
+
 class IngestPlane:
     """The asyncio server; owns no fleet state, only the supervisor."""
 
@@ -146,10 +157,7 @@ class IngestPlane:
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
-            await self._respond(
-                writer, 400, {"error": "malformed request line"},
-                endpoint="<bad>", close=True,
-            )
+            await self._reject(writer, 400, "malformed request line")
             return False
         headers: Dict[str, str] = {}
         while True:
@@ -158,13 +166,17 @@ class IngestPlane:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            await self._reject(
+                writer, 400, f"malformed Content-Length {declared!r}"
+            )
+            return False
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            await self._respond(
+            await self._reject(
                 writer, 413,
-                {"error": f"body of {length} bytes exceeds "
-                          f"{MAX_BODY_BYTES}"},
-                endpoint="<bad>", close=True,
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
             )
             return False
         body = await reader.readexactly(length) if length else b""
@@ -185,22 +197,35 @@ class IngestPlane:
             status, payload, raw = 500, {"error": str(error)}, None
         except Exception as error:  # repro: disable=api-hygiene — request containment: a handler bug must answer this request with a 500, not tear down the listener mid-soak
             status, payload, raw = 500, {"error": repr(error)}, None
-        provider = get_provider()
-        provider.histogram(
+        get_provider().histogram(
             "repro_serve_request_seconds",
             "Ingest-plane request latency",
             endpoint=endpoint,
         ).observe(time.perf_counter() - started)
-        provider.counter(
-            "repro_serve_requests_total",
-            "Ingest-plane requests served",
-            endpoint=endpoint, status=str(status),
-        ).inc()
+        self._count(endpoint, status)
         await self._respond(
             writer, status, payload, endpoint=endpoint,
             close=not keep_alive, raw=raw,
         )
         return keep_alive
+
+    @staticmethod
+    def _count(endpoint: str, status: int) -> None:
+        get_provider().counter(
+            "repro_serve_requests_total",
+            "Ingest-plane requests served",
+            endpoint=endpoint, status=str(status),
+        ).inc()
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer a request that cannot be framed, counted under the
+        ``<bad>`` endpoint, and close the connection."""
+        self._count("<bad>", status)
+        await self._respond(
+            writer, status, {"error": message}, endpoint="<bad>", close=True
+        )
 
     @staticmethod
     def _endpoint_label(path: str) -> str:
@@ -393,9 +418,18 @@ class IngestPlane:
     async def _labels(self, body: bytes):
         parsed = self._parse_json(body)
         kpi = parsed.get("kpi")
+        if not isinstance(kpi, str):
+            raise _HttpError(400, "labels need a string 'kpi'")
+        windows = parsed.get("windows", [])
+        if not isinstance(windows, list) or not all(
+            map(_is_window, windows)
+        ):
+            raise _HttpError(
+                400, "'windows' must be a list of [begin, end] integer "
+                     "pairs with 0 <= begin < end",
+            )
         if self.supervisor.shard_for(kpi) is None:
             raise _HttpError(404, f"unknown KPI {kpi!r}")
-        windows = parsed.get("windows", [])
         reply = await self._call(
             lambda: self.supervisor.submit_labels(
                 kpi, [tuple(window) for window in windows]
@@ -407,6 +441,10 @@ class IngestPlane:
         parsed = self._parse_json(body) if body.strip() else {}
         kpis = parsed.get("kpis")
         if kpis is not None:
+            if not isinstance(kpis, list) or not all(
+                isinstance(kpi, str) for kpi in kpis
+            ):
+                raise _HttpError(400, "'kpis' must be a list of strings")
             missing = [
                 kpi for kpi in kpis
                 if self.supervisor.shard_for(kpi) is None

@@ -32,7 +32,7 @@ class TestTreeContributions:
         tree = DecisionTree(seed=0).fit(X, y)
         contributions = tree.decision_path_contributions(X)
         # Features never split on contribute exactly 0.
-        used = {n.feature for n in tree.nodes_ if not n.is_leaf}
+        used = set(tree.feature_[tree.feature_ >= 0].tolist())
         for j in range(4):
             if j not in used:
                 assert (contributions[:, j] == 0).all()

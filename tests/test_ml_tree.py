@@ -70,7 +70,7 @@ class TestDecisionTree:
         X = rng.normal(size=(300, 4))
         y = (X[:, 0] + 0.2 * rng.normal(size=300) > 0).astype(int)
         tree = DecisionTree().fit(X, y)
-        probabilities = {n.probability for n in tree.nodes_ if n.is_leaf}
+        probabilities = set(tree.probability_[tree.feature_ < 0].tolist())
         assert probabilities <= {0.0, 1.0}
 
     def test_max_depth_limits_depth(self, rng):
@@ -98,7 +98,7 @@ class TestDecisionTree:
         X = rng.normal(size=(500, 6))
         y = (X[:, 4] > 0).astype(int)
         tree = DecisionTree().fit(X, y)
-        assert tree.nodes_[0].feature == 4
+        assert tree.feature_[0] == 4
 
     def test_reproducible_with_seed(self, rng):
         X = rng.normal(size=(200, 8))

@@ -605,6 +605,21 @@ class TestHttpPlane:
         )
         assert status == 404
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/labels", {"kpi": ["x"], "windows": [[0, 1]]}),
+            ("/labels", {"kpi": "kpi-001", "windows": [[5, 2]]}),
+            ("/retrain", {"kpis": 5}),
+            ("/retrain", {"kpis": "abc"}),
+        ],
+    )
+    def test_malformed_control_bodies_400(self, server, path, body):
+        """Shape errors are the client's: a 400, not a shard failure
+        (500) or a lookup of each character as a KPI (404)."""
+        status, _, payload = http_request(server, "POST", path, body)
+        assert status == 400, payload
+
     def test_checkpoint_endpoint(self, server):
         status, _, payload = http_request(server, "POST", "/checkpoint", {})
         assert status == 200
@@ -677,6 +692,71 @@ class TestBackpressure:
                 json.dumps({"kpi": "kpi-000", "value": 1.0}).encode(),
             )
             assert status == 429
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; read everything until the server closes."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("declared", [b"abc", b"-5"])
+    def test_bad_content_length_is_a_counted_400(self, declared, caplog):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        provider = ObservabilityProvider()
+        previous = set_provider(provider)
+        try:
+            with ReproServer(_SaturatedSupervisor()) as server:
+                reply = raw_exchange(
+                    server,
+                    b"POST /ingest HTTP/1.1\r\nContent-Length: "
+                    + declared + b"\r\n\r\n",
+                )
+        finally:
+            set_provider(previous)
+        head = reply.partition(b"\r\n\r\n")[0].decode("latin-1")
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "Connection: close" in head.split("\r\n")
+        counted = provider.counter(
+            "repro_serve_requests_total", endpoint="<bad>", status="400"
+        )
+        assert counted.value == 1
+        assert [
+            record.getMessage() for record in caplog.records
+            if record.name == "asyncio"
+        ] == []
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/labels", {"kpi": ["x"], "windows": [[0, 1]]}),
+            ("/labels", {"kpi": None, "windows": [[0, 1]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": 5}),
+            ("/labels", {"kpi": "kpi-000", "windows": [[0, 1, 2]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [[3, 3]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [[-1, 2]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [["0", 1]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [[0.5, 1]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [[True, 2]]}),
+            ("/labels", {"kpi": "kpi-000", "windows": [{"begin": 0}]}),
+            ("/retrain", {"kpis": 5}),
+            ("/retrain", {"kpis": "abc"}),
+            ("/retrain", {"kpis": [["x"]]}),
+        ],
+    )
+    def test_malformed_control_bodies_400(self, path, body):
+        """The plane rejects the shape before any shard sees it (the
+        double has no label or retrain ops to fall back on)."""
+        with ReproServer(_SaturatedSupervisor()) as server:
+            status, _, payload = http_request(server, "POST", path, body)
+        assert status == 400, payload
 
 
 class TestShutdown:
