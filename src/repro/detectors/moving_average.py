@@ -182,7 +182,6 @@ class EWMA(Detector):
         out = np.full(n, np.nan)
         if n < 2:
             return out
-        from scipy.signal import lfilter
 
         # Missing points would poison the IIR recursion forever, so the
         # filter runs on a causally forward-filled copy; the severities
@@ -199,11 +198,21 @@ class EWMA(Detector):
                 return out
             if leading.any():
                 filled[leading] = filled[~leading][0]
-        # The EWMA of v[0..t] as an IIR filter, then shift by one so the
-        # prediction for t uses only points up to t-1.
-        zi = np.array([(1.0 - self.alpha) * filled[0]])
-        smoothed, _ = lfilter([self.alpha], [1.0, -(1.0 - self.alpha)], filled, zi=zi)
-        out[1:] = np.abs(values[1:] - smoothed[:-1])
+        # The EWMA of v[0..t], then shift by one so the prediction for t
+        # uses only points up to t-1. The recursion keeps the state form
+        # of a first-order IIR filter (carry = (1 - alpha) * y) seeded with
+        # (1 - alpha) * v[0]: the rounding the pinned batch output has
+        # (tests/test_ewma_bit_identity.py). Seeding y with v[0], as the
+        # stream does, differs by an ulp on some series.
+        alpha = self.alpha
+        decay = 1.0 - alpha
+        carry = decay * float(filled[0])
+        smoothed = []
+        for value in filled[:-1].tolist():
+            y = alpha * value + carry
+            carry = decay * y
+            smoothed.append(y)
+        out[1:] = np.abs(values[1:] - np.asarray(smoothed))
         if missing.any():
             # No severity exists before (and at) the first observation.
             first_finite = int(np.flatnonzero(~missing)[0])

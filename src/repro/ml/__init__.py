@@ -1,7 +1,12 @@
 """Learning substrate: random forest and Fig 10 comparison classifiers.
 
 scikit-learn is unavailable offline, so everything here is implemented
-from scratch on numpy/scipy (see DESIGN.md's substitution table).
+from scratch on numpy (see DESIGN.md's substitution table). The one
+exception is the L-BFGS optimiser behind ``LogisticRegression.fit`` and
+``LinearSVM.fit``, which needs the optional ``linear`` extra
+(``pip install 'repro[linear]'``); it is imported only when one of them
+is fitted, so the forest, the detectors and the serving path run on
+numpy alone.
 """
 
 from .base import Classifier, NotFittedError

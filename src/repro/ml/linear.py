@@ -5,15 +5,17 @@ linear SVM.
 regression, linear support vector machines (SVMs), and naive Bayes" and
 finds the linear models "unstable and decreased as more features are
 used" (irrelevant/redundant features hurt them). Both models here are
-trained with L-BFGS (scipy) on L2-regularised convex losses; inputs are
+trained with L-BFGS on L2-regularised convex losses; inputs are
 internally standardised so the optimisation is well-conditioned
-regardless of severity scales.
+regardless of severity scales. The optimiser comes with the optional
+``linear`` extra and is imported inside ``fit``: ``repro.ml`` and the
+boosting learner import this module, and a serving process must not
+pay for the optimiser it never calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .base import Classifier
 from .preprocessing import StandardScaler
@@ -45,6 +47,13 @@ class _LinearModel(Classifier):
         raise NotImplementedError
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "_LinearModel":
+        try:
+            from scipy.optimize import minimize
+        except ImportError as exc:
+            raise ImportError(
+                f"{type(self).__name__}.fit needs the optional 'linear' "
+                "extra: pip install 'repro[linear]'"
+            ) from exc
         features, labels = self._check_fit_inputs(features, labels)
         features = self._scaler.fit_transform(features)
         targets = labels.astype(np.float64)

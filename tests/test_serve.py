@@ -585,6 +585,17 @@ class TestHttpPlane:
         assert "# HELP repro_serve_request_seconds" in text
 
     def test_labels_and_targeted_retrain(self, server):
+        # /retrain skips a KPI with nothing ingested since its last
+        # round, so the test feeds kpi-001 its own points first.
+        lines = [
+            json.dumps({"kpi": "kpi-001", "value": 100.0 + index})
+            for index in range(3)
+        ]
+        status, _, payload = http_request(
+            server, "POST", "/ingest/batch", "\n".join(lines).encode()
+        )
+        assert status == 200
+        assert payload["accepted"] == 3
         status, _, payload = http_request(
             server, "POST", "/labels",
             # The second window lies beyond what the KPI has ingested:
