@@ -35,6 +35,11 @@ HISTORICAL_WINDOWS_WEEKS = (1, 2, 3, 4, 5)
 #: Consistency constant making MAD estimate the Gaussian sigma.
 MAD_TO_SIGMA = 1.4826
 
+#: Least scale floor. A warm-up prefix of near-zero (e.g. subnormal)
+#: magnitude would otherwise give a floor so small that dividing an
+#: ordinary deviation by it overflows to inf.
+MIN_SCALE_FLOOR = 1e-12
+
 
 class _HistoricalBase(Detector):
     """Same-time-of-day history matrix shared by both variants."""
@@ -104,16 +109,17 @@ class _HistoricalBase(Detector):
         change past severities)."""
         prefix = values[: self.warmup()]
         magnitude = np.nanmean(np.abs(prefix)) if len(prefix) else np.nan
-        if not np.isfinite(magnitude) or magnitude == 0.0:
-            return 1e-12
-        return 1e-6 * float(magnitude)
+        if not np.isfinite(magnitude):
+            return MIN_SCALE_FLOOR
+        return max(1e-6 * float(magnitude), MIN_SCALE_FLOOR)
 
 
 class _HistoricalStream(SeverityStream):
     """Ring-buffer stream over the same-time-of-day history.
 
     The scale floor matches the batch mode: 1e-6 of the mean magnitude
-    of the warm-up prefix (fixed once the warm-up completes).
+    of the warm-up prefix, at least ``MIN_SCALE_FLOOR`` (fixed once the
+    warm-up completes).
     """
 
     def __init__(self, detector: "_HistoricalBase"):
@@ -139,12 +145,11 @@ class _HistoricalStream(SeverityStream):
             severity = float("nan")
         else:
             if self._floor is None:
-                if self._prefix_n and self._prefix_abs_sum > 0.0:
-                    self._floor = 1e-6 * (
-                        self._prefix_abs_sum / self._prefix_n
-                    )
-                else:
-                    self._floor = 1e-12
+                magnitude = (
+                    self._prefix_abs_sum / self._prefix_n
+                    if self._prefix_n else 0.0
+                )
+                self._floor = max(1e-6 * magnitude, MIN_SCALE_FLOOR)
             offsets = (
                 position
                 - np.arange(1, detector.window_days + 1) * detector.points_per_day

@@ -104,6 +104,18 @@ class TestHistoricalAverage:
         assert np.isfinite(out[14])
         assert out[14] > 1e3  # tiny floor -> very large severity
 
+    @pytest.mark.parametrize("kind", [HistoricalAverage, HistoricalMad])
+    def test_subnormal_prefix_floor_does_not_overflow(self, kind):
+        # A warm-up prefix of near-zero magnitude must not shrink the
+        # floor below the all-zero prefix's; 9000 / 1e-315 overflows.
+        values = [0.0, 2.2250738585072014e-308] + [0.0] * 12 + [9e3, -9e3]
+        detector = kind(1, 2)
+        out = detector.severities(ts(values))
+        stream = detector.stream()
+        streamed = [stream.update(v) for v in values]
+        assert np.isfinite(out[14:]).all()
+        np.testing.assert_array_equal(streamed, out)
+
     def test_spike_scores_higher_than_normal(self, rng):
         base = np.tile(rng.normal(100.0, 3.0, size=4), 20)
         values = base + rng.normal(0, 1.0, size=80)
