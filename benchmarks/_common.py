@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import pytest
 
-from repro.core import FeatureExtractor, FeatureMatrix, I1
+from repro.core import FeatureMatrix, I1
 from repro.core.opprentice import _subsample_training
 from repro.data import InjectionResult, make_all
 from repro.ml import Imputer, RandomForest
@@ -42,20 +42,6 @@ DEFAULT_OBS_SNAPSHOT_DIR = "obs-snapshots"
 #: Evaluation-scale forest (see module docstring).
 N_TREES = 50
 MAX_TRAIN_POINTS = 6000
-
-#: Environment knobs selecting the extraction backend/worker count for
-#: every bench that builds a FeatureExtractor (docs/performance.md).
-BENCH_BACKEND_ENV = "REPRO_BENCH_BACKEND"
-BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
-
-
-def bench_extractor(configs=None) -> FeatureExtractor:
-    """A FeatureExtractor honouring the benchmark environment knobs:
-    ``REPRO_BENCH_BACKEND`` (serial/thread/process, default historical
-    behaviour) and ``REPRO_BENCH_WORKERS`` (0 = one per CPU)."""
-    backend = os.environ.get(BENCH_BACKEND_ENV) or None
-    workers = int(os.environ.get(BENCH_WORKERS_ENV, "1"))
-    return FeatureExtractor(configs, workers=workers, backend=backend)
 
 
 def bench_forest(seed: int = 0) -> RandomForest:

@@ -13,10 +13,11 @@ and training well under the weekly retraining budget.
 import numpy as np
 import pytest
 
+from repro.core import FeatureExtractor
 from repro.core.opprentice import _subsample_training
 from repro.ml import Imputer
 
-from _common import MAX_TRAIN_POINTS, bench_extractor, bench_forest, print_header
+from _common import MAX_TRAIN_POINTS, bench_forest, print_header
 
 #: Every studied KPI has an interval of at least one minute.
 SHORTEST_INTERVAL_SECONDS = 60.0
@@ -43,7 +44,7 @@ def test_feature_extraction_per_point(benchmark, kpis):
     """Feature-extraction share of the detection lag."""
     series = kpis["PV"].series
     window = series.slice(0, 2 * series.points_per_week)
-    extractor = bench_extractor()
+    extractor = FeatureExtractor()
     benchmark.pedantic(
         lambda: extractor.extract(window), rounds=1, iterations=1
     )
@@ -106,7 +107,7 @@ def test_detection_lag_ordering(benchmark, pv_model, kpis):
     """classification << extraction << interval."""
     model, imputer, matrix, series = pv_model
     window = series.slice(0, series.points_per_week)
-    extractor = bench_extractor()
+    extractor = FeatureExtractor()
 
     import time
 

@@ -1,22 +1,19 @@
 """Table 3 — 14 basic detectors / 133 configurations.
 
-Regenerates the registry table, times full feature extraction of each
-KPI (the per-point cost also feeds §5.8's detection-lag bench), and
-compares the execution backends (serial / thread / process) over the
-full bank — §5.8: "all the detectors can run in parallel". The CI
-``bench-regression`` job records this file's timings in BENCH_4.json
-and gates median slowdowns via tools/bench_compare.py.
+Regenerates the registry table and times full feature extraction of
+each KPI (the per-point cost also feeds §5.8's detection-lag bench).
+The CI ``bench-regression`` job records this file's timings in
+BENCH_4.json and gates median slowdowns via tools/bench_compare.py.
 """
 
 import collections
-import os
 
 import pytest
 
 from repro.core import FeatureExtractor
 from repro.detectors import default_configs, registry_table
 
-from _common import bench_extractor, print_header
+from _common import print_header
 
 TABLE3 = {
     "simple threshold": 1,
@@ -49,7 +46,7 @@ def test_registry_matches_table3(benchmark):
 def test_feature_extraction_full_kpi(benchmark, kpis, name):
     """Time extracting all 133 features over the whole KPI."""
     series = kpis[name].series
-    extractor = bench_extractor()
+    extractor = FeatureExtractor()
     matrix = benchmark.pedantic(
         lambda: extractor.extract(series), rounds=1, iterations=1
     )
@@ -63,37 +60,3 @@ def test_feature_extraction_full_kpi(benchmark, kpis, name):
     )
     assert matrix.n_features == 133
 
-
-#: Worker count for the backend comparison — matches the CI runners.
-BACKEND_WORKERS = 4
-
-#: Median seconds per backend, filled in parametrization order so the
-#: process case can report its speedup over serial.
-_backend_seconds = {}
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_extraction_backend_comparison(benchmark, kpis, backend):
-    """Full-bank extraction of PV under each execution backend.
-
-    The acceptance target is a >= 2x process-over-serial speedup at 4
-    workers on multi-core CI hardware; on fewer cores the speedup
-    degrades gracefully (the comparison still runs, it just reports
-    what the hardware allows).
-    """
-    series = kpis["PV"].series
-    extractor = FeatureExtractor(workers=BACKEND_WORKERS, backend=backend)
-    matrix = benchmark.pedantic(
-        lambda: extractor.extract(series), rounds=1, iterations=1
-    )
-    assert matrix.n_features == 133
-    _backend_seconds[backend] = benchmark.stats.stats.median
-    if backend == "process" and "serial" in _backend_seconds:
-        print_header(
-            f"Backend comparison [PV, {BACKEND_WORKERS} workers, "
-            f"{os.cpu_count()} CPUs]"
-        )
-        serial = _backend_seconds["serial"]
-        for which, seconds in _backend_seconds.items():
-            print(f"  {which:8s} {seconds:8.2f} s   "
-                  f"{serial / seconds:5.2f}x vs serial")

@@ -5,14 +5,11 @@ from typing import Dict
 
 import pytest
 
-from repro.core import FeatureMatrix
+from repro.core import FeatureExtractor, FeatureMatrix
 from repro.data import InjectionResult, make_all
 
 from _common import (
-    BENCH_BACKEND_ENV,
-    BENCH_WORKERS_ENV,
     WeeklyScores,
-    bench_extractor,
     maybe_enable_observability,
     run_i1_weekly_scores,
     write_metrics_snapshot,
@@ -20,16 +17,11 @@ from _common import (
 
 
 def pytest_benchmark_update_machine_info(config, machine_info):
-    """Stamp BENCH_4.json with the facts that make scaling numbers
-    interpretable across heterogeneous runners: the core count the
-    cross-process benchmarks sharded over, and the extraction
-    backend/worker knobs in force. tools/bench_compare.py warns when
+    """Stamp BENCH_4.json with the core count the cross-process
+    benchmarks sharded over, which makes scaling numbers interpretable
+    across heterogeneous runners. tools/bench_compare.py warns when
     baseline and current disagree on cores (it never gates on them)."""
     machine_info["cpu_count"] = os.cpu_count()
-    machine_info["repro_bench"] = {
-        "backend": os.environ.get(BENCH_BACKEND_ENV) or "serial",
-        "workers": os.environ.get(BENCH_WORKERS_ENV, "1"),
-    }
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -55,7 +47,7 @@ def kpis() -> Dict[str, InjectionResult]:
 def feature_matrices(kpis) -> Dict[str, FeatureMatrix]:
     """133-column severity matrices, one per KPI."""
     return {
-        name: bench_extractor().extract(result.series)
+        name: FeatureExtractor().extract(result.series)
         for name, result in kpis.items()
     }
 

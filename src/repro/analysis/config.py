@@ -22,7 +22,7 @@ Recognised keys::
                                    # (relative to the pyproject's dir)
 
     [tool.repro-lint.worker-reachability]
-    entry-points = ["_process_worker_run", "_process_worker_attach"]
+    entry-points = ["shard_worker_main"]  # call-graph roots
 
 Unknown keys are rejected so typos fail loudly instead of silently
 disabling a contract check. TOML parsing uses the stdlib ``tomllib``
@@ -51,8 +51,9 @@ _KNOWN_REGISTRY_KEYS = {"exempt"}
 _KNOWN_OBS_KEYS = {"doc"}
 _KNOWN_WORKER_KEYS = {"entry-points"}
 
-#: Worker entry points assumed when the config does not override them.
-DEFAULT_WORKER_ENTRY_POINTS = ["_process_worker_run", "_process_worker_attach"]
+#: Roots of the worker-reachability call-graph walk when the config does
+#: not override them: the entry point of a forked ``repro-serve`` shard.
+DEFAULT_WORKER_ENTRY_POINTS = ["shard_worker_main"]
 
 
 class ConfigError(ValueError):
@@ -74,7 +75,7 @@ class LintConfig:
     cache_dir: str = ""
     #: Observability taxonomy doc for obs-taxonomy ("" = no doc check).
     obs_doc: str = ""
-    #: Bare function names treated as process-worker entry points.
+    #: Bare function names the worker-reachability walk starts from.
     worker_entry_points: List[str] = field(
         default_factory=lambda: list(DEFAULT_WORKER_ENTRY_POINTS)
     )

@@ -1,11 +1,15 @@
-"""``worker-reachability``: process-pool workers must stay stateless.
+"""``worker-reachability``: shard processes keep no hidden state.
 
-The process backend in ``repro.core.execution`` forks workers that each
-import the library fresh; any module- or class-level state a worker
-mutates is silently process-local and never reaches the parent. Instead
-of heuristically scanning ``Detector`` methods, this rule walks the
-approximate project call graph from the configured worker entry points
-(``_process_worker_run`` / ``_process_worker_attach`` by default, see
+``repro-serve`` forks one shard process per ``ShardSupervisor`` slot
+(``repro.serve.shard.shard_worker_main``). The promise is that a
+checkpoint taken anywhere restores to the same state as an undisturbed
+run: when a shard dies (kill -9), the supervisor re-forks it from the
+parent and restores its fleet from the last checkpoint. Module- and
+class-level state the shard mutated is in no checkpoint, so the
+re-forked shard silently starts from the parent's copy and its
+decisions diverge from the twin that was never killed. This rule walks
+the approximate project call graph from the configured entry points
+(``shard_worker_main`` by default, see
 ``[tool.repro-lint.worker-reachability] entry-points``) and flags every
 *transitively reachable* function that:
 
@@ -17,17 +21,19 @@ approximate project call graph from the configured worker entry points
 
 Mutations of imported *modules* (``os``, ``np``) are out of scope here —
 seeding is the determinism rule's job — as is instance state
-(``self.x``), which is process-local by design. Each finding names the
-call chain the mutation is reached through, so the fix (or the
-justified suppression) is one hop away. The call graph resolves
-dispatch by name only; functions invoked via ``getattr`` or stored
-callables are invisible to it (documented in docs/static_analysis.md).
+(``self.x``), which checkpoints carry (``checkpoint-symmetry`` checks
+that). Each finding names the call chain the mutation is reached
+through, so the fix (or the justified suppression) is one hop away.
+The call graph resolves dispatch by name only; functions invoked via
+``getattr`` or stored callables are invisible to it (documented in
+docs/static_analysis.md).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Set
+from typing import TYPE_CHECKING, Iterable, Set
 
+from ..config import DEFAULT_WORKER_ENTRY_POINTS
 from ..finding import Finding, Severity
 from .base import Rule, register
 
@@ -36,21 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 RULE_ID = "worker-reachability"
 
-#: Entry points used when the config does not override them.
-DEFAULT_ENTRY_POINTS = ("_process_worker_run", "_process_worker_attach")
-
 
 @register
 class WorkerReachabilityRule(Rule):
     id = RULE_ID
     description = (
-        "functions reachable from the process-backend worker entry points "
-        "must not mutate module or class state (call-graph reachability)"
+        "functions reachable from the shard process entry points must not "
+        "mutate module or class state (call-graph reachability)"
     )
     default_severity = Severity.ERROR
 
     def check_summaries(self, index: "ProjectIndex") -> Iterable[Finding]:
-        entries = index.worker_entry_points or list(DEFAULT_ENTRY_POINTS)
+        entries = index.worker_entry_points or DEFAULT_WORKER_ENTRY_POINTS
         graph = index.callgraph
         parents = graph.reachable_from(entries)
         if not parents:
@@ -95,8 +98,8 @@ class WorkerReachabilityRule(Rule):
             yield finding(
                 record,
                 f"{where} rebinds module globals ({names}) and is reachable "
-                f"from the process backend via {chain}; worker-visible "
-                f"state must stay process-local and explicit",
+                f"from a shard process via {chain}; no checkpoint carries "
+                f"it, so a re-forked shard loses it",
                 {"kind": "global"},
             )
 
@@ -109,16 +112,17 @@ class WorkerReachabilityRule(Rule):
             ):
                 yield finding(
                     record,
-                    f"{where} writes a class attribute; per-process class "
-                    f"state breaks the process backend (reachable via "
-                    f"{chain})",
+                    f"{where} writes a class attribute; no checkpoint carries "
+                    f"class state, so a re-forked shard loses it "
+                    f"(reachable via {chain})",
                     {"kind": "class-write"},
                 )
             elif not record["is_local"] and base in shared:
                 yield finding(
                     record,
-                    f"{where} writes module-level {base!r}; workers never "
-                    f"share it back with the parent (reachable via {chain})",
+                    f"{where} writes module-level {base!r}; no checkpoint "
+                    f"carries it, so a re-forked shard loses it "
+                    f"(reachable via {chain})",
                     {"kind": "module-write"},
                 )
 
@@ -127,7 +131,7 @@ class WorkerReachabilityRule(Rule):
                 yield finding(
                     record,
                     f"{where} calls {record['base']}.{record['method']}(...) "
-                    f"on module-level state; workers never share it back "
-                    f"with the parent (reachable via {chain})",
+                    f"on module-level state; no checkpoint carries it, so a "
+                    f"re-forked shard loses it (reachable via {chain})",
                     {"kind": "module-mutation"},
                 )

@@ -16,15 +16,6 @@ from .drift import (
     population_stability_index,
 )
 from .explain import DetectionExplanation, FeatureContribution, explain_features, explain_point
-from .execution import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-    resolve_workers,
-)
 from .feature_matrix import FeatureExtractor, FeatureMatrix
 from .opprentice import (
     DetectionResult,
@@ -82,13 +73,6 @@ __all__ = [
     "load_service_checkpoint",
     "FeatureExtractor",
     "FeatureMatrix",
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "resolve_backend",
-    "resolve_workers",
     "backtest_preferences",
     "PreferenceOutcome",
     "render_backtest",

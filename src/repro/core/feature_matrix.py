@@ -9,12 +9,13 @@ point of the KPI.
 Extraction is compiled at the detector-*family* level: sibling
 configurations (the window bank, the Holt-Winters sweep, the seasonal
 and historical grids, the wavelet bands) share one fused numpy pass
-each (see :func:`repro.detectors.build_family_evaluators`). *Where* the
-work runs is delegated to an execution backend (``serial`` / ``thread``
-/ ``process``, see :mod:`repro.core.execution`); the matrix is
-bit-identical whichever is active (see docs/performance.md). The online
-loop does not come through here: :class:`repro.detectors.StreamBank`
-feeds one point at a time through warm per-family streams.
+each (see :func:`repro.detectors.build_family_evaluators`), run one
+after another in the calling thread. The paper's "all the detectors can
+run in parallel" (§5.8) is served one level up: ``repro-serve`` runs
+KPIs on several forked shard processes (see docs/performance.md). The
+online loop does not come through here:
+:class:`repro.detectors.StreamBank` feeds one point at a time through
+warm per-family streams.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ import numpy as np
 from ..detectors import DetectorConfig, build_family_evaluators, configs_for
 from ..obs import get_provider
 from ..timeseries import TimeSeries
-from .execution import (
-    BackendSpec,
-    ExecutionBackend,
-    resolve_backend,
-    resolve_workers,
-)
 
 
 @dataclass
@@ -87,32 +82,12 @@ class FeatureExtractor:
     configs:
         Detector configurations; defaults to the Table 3 bank sized for
         the first series passed to :meth:`extract`.
-    workers:
-        Parallelism for extraction (§5.8: "all the detectors can run in
-        parallel"). ``0`` means one worker per available CPU; ``1``
-        (default) runs sequentially; negative counts raise.
-    backend:
-        Where the work runs: ``"serial"``, ``"thread"``, ``"process"``,
-        or an :class:`~repro.core.execution.ExecutionBackend` instance.
-        ``None`` keeps the historical mapping — serial for one worker,
-        the thread pool for more. The ``process`` backend fans
-        configurations out over real cores with the series shared via
-        :mod:`multiprocessing.shared_memory`; all backends produce
-        bit-identical matrices.
     """
 
-    def __init__(
-        self,
-        configs: Optional[Sequence[DetectorConfig]] = None,
-        *,
-        workers: int = 1,
-        backend: BackendSpec = None,
-    ):
-        self.workers = resolve_workers(workers)
+    def __init__(self, configs: Optional[Sequence[DetectorConfig]] = None):
         self._configs: Optional[List[DetectorConfig]] = (
             list(configs) if configs is not None else None
         )
-        self.backend: ExecutionBackend = resolve_backend(backend, self.workers)
 
     def configs(self, series: Optional[TimeSeries] = None) -> List[DetectorConfig]:
         if self._configs is None:
@@ -141,7 +116,8 @@ class FeatureExtractor:
 
     def extract(self, series: TimeSeries) -> FeatureMatrix:
         """The full severity matrix for ``series``: the bank compiled
-        into fused family evaluators, run on the execution backend."""
+        into fused family evaluators, each run in the calling thread and
+        written to the columns of its configs."""
         configs = self.configs(series)
         n = len(series)
         obs = get_provider()
@@ -150,30 +126,23 @@ class FeatureExtractor:
             kpi=series.name or "",
             n_points=n,
             n_configs=len(configs),
-            backend=self.backend.name,
         ):
-            obs.gauge(
-                "repro_extract_workers",
-                "Workers used by the active extraction backend",
-            ).set(self.backend.workers)
             matrix = np.full((n, len(configs)), np.nan)
-            evaluators = build_family_evaluators(configs)
-            for evaluator, columns in self.backend.run_tasks(evaluators, series):
-                matrix[:, list(evaluator.indices)] = columns
+            for evaluator in build_family_evaluators(configs):
+                with obs.span(
+                    "extract.config",
+                    detector=evaluator.kind,
+                    n_columns=len(evaluator.configs),
+                ), obs.timer(
+                    "repro_detector_severities_seconds",
+                    "Severity extraction per detector configuration batch",
+                    detector=evaluator.kind,
+                ):
+                    matrix[:, list(evaluator.indices)] = evaluator.evaluate(
+                        series
+                    )
         obs.counter(
             "repro_feature_points_total",
             "Points x extraction passes through the detector bank",
         ).inc(n)
         return FeatureMatrix(values=matrix, names=[c.name for c in configs])
-
-    def close(self) -> None:
-        """Release backend resources (the persistent process pool and
-        its shared-memory segment). Safe to call more than once; the
-        extractor remains usable and re-acquires resources on demand."""
-        self.backend.close()
-
-    def __enter__(self) -> "FeatureExtractor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

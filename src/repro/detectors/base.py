@@ -401,6 +401,26 @@ def phase_view(values: np.ndarray, period: int) -> np.ndarray:
     return padded.reshape(n_rows, period)
 
 
+#: Least scale floor. A warm-up prefix of near-zero (e.g. subnormal)
+#: magnitude would otherwise give a floor so small that dividing an
+#: ordinary deviation by it overflows to inf.
+MIN_SCALE_FLOOR = 1e-12
+
+
+def scale_floor(magnitude: float) -> float:
+    """The floor under a detector's scale estimate, so a constant
+    history does not give infinite severities: 1e-6 of the warm-up
+    prefix's mean absolute value, at least :data:`MIN_SCALE_FLOOR`.
+
+    ``magnitude`` comes from the warm-up prefix only, so severities stay
+    causal; it is NaN (or 0) for a prefix without observed values, which
+    gives :data:`MIN_SCALE_FLOOR`. Batch and stream modes both call this.
+    """
+    if not np.isfinite(magnitude):
+        return MIN_SCALE_FLOOR
+    return max(1e-6 * float(magnitude), MIN_SCALE_FLOOR)
+
+
 def nan_row_stat(
     stat: Callable[..., np.ndarray], matrix: np.ndarray
 ) -> np.ndarray:
@@ -502,8 +522,7 @@ class FamilyEvaluator(abc.ABC):
     config in the family from a single pass over the series, sharing
     whatever intermediate the family's detectors recompute per config
     in solo mode (window prefix sums, seasonal history gathers, the
-    Holt-Winters state sweep). Instances must be picklable — the
-    process backend ships them to pool workers.
+    Holt-Winters state sweep).
     """
 
     #: Display name used for observability labels (span/timer

@@ -27,7 +27,13 @@ from typing import Dict
 import numpy as np
 
 from ..timeseries import TimeSeries
-from .base import Detector, DetectorError, ParamValue, SeverityStream
+from .base import (
+    Detector,
+    DetectorError,
+    ParamValue,
+    SeverityStream,
+    scale_floor,
+)
 
 #: Sampled grids used by ``extended_detectors``.
 CUSUM_WINDOWS = (20, 50)
@@ -76,10 +82,8 @@ class CUSUM(Detector):
         # The std floor must be causal: it uses only warm-up data.
         prefix = values[: self.window]
         prefix_finite = prefix[np.isfinite(prefix)]
-        floor = (
-            1e-6 * float(np.abs(prefix_finite).mean())
-            if len(prefix_finite) and np.abs(prefix_finite).mean() > 0
-            else 1e-12
+        floor = scale_floor(
+            float(np.abs(prefix_finite).mean()) if len(prefix_finite) else 0.0
         )
         with np.errstate(invalid="ignore"):
             z = (values - mean) / np.maximum(std, floor)
@@ -119,10 +123,8 @@ class _CUSUMStream(SeverityStream):
             self._window.append(value)
             return float("nan")
         if self._floor is None:
-            self._floor = (
-                1e-6 * self._prefix_abs_sum / self._prefix_n
-                if self._prefix_n and self._prefix_abs_sum > 0.0
-                else 1e-12
+            self._floor = scale_floor(
+                self._prefix_abs_sum / self._prefix_n if self._prefix_n else 0.0
             )
         window = np.asarray(self._window)
         finite = window[np.isfinite(window)]

@@ -27,6 +27,7 @@ from .base import (
     ParamValue,
     SeverityStream,
     register_family_builder,
+    scale_floor,
 )
 
 #: Table 3 window grid, in weeks.
@@ -34,11 +35,6 @@ HISTORICAL_WINDOWS_WEEKS = (1, 2, 3, 4, 5)
 
 #: Consistency constant making MAD estimate the Gaussian sigma.
 MAD_TO_SIGMA = 1.4826
-
-#: Least scale floor. A warm-up prefix of near-zero (e.g. subnormal)
-#: magnitude would otherwise give a floor so small that dividing an
-#: ordinary deviation by it overflows to inf.
-MIN_SCALE_FLOOR = 1e-12
 
 
 class _HistoricalBase(Detector):
@@ -109,17 +105,14 @@ class _HistoricalBase(Detector):
         change past severities)."""
         prefix = values[: self.warmup()]
         magnitude = np.nanmean(np.abs(prefix)) if len(prefix) else np.nan
-        if not np.isfinite(magnitude):
-            return MIN_SCALE_FLOOR
-        return max(1e-6 * float(magnitude), MIN_SCALE_FLOOR)
+        return scale_floor(magnitude)
 
 
 class _HistoricalStream(SeverityStream):
     """Ring-buffer stream over the same-time-of-day history.
 
-    The scale floor matches the batch mode: 1e-6 of the mean magnitude
-    of the warm-up prefix, at least ``MIN_SCALE_FLOOR`` (fixed once the
-    warm-up completes).
+    The scale floor matches the batch mode (:func:`scale_floor` of the
+    warm-up prefix's mean magnitude, fixed once the warm-up completes).
     """
 
     def __init__(self, detector: "_HistoricalBase"):
@@ -145,11 +138,10 @@ class _HistoricalStream(SeverityStream):
             severity = float("nan")
         else:
             if self._floor is None:
-                magnitude = (
+                self._floor = scale_floor(
                     self._prefix_abs_sum / self._prefix_n
                     if self._prefix_n else 0.0
                 )
-                self._floor = max(1e-6 * magnitude, MIN_SCALE_FLOOR)
             offsets = (
                 position
                 - np.arange(1, detector.window_days + 1) * detector.points_per_day

@@ -202,8 +202,8 @@ class EWMA(Detector):
         # uses only points up to t-1. The recursion keeps the state form
         # of a first-order IIR filter (carry = (1 - alpha) * y) seeded with
         # (1 - alpha) * v[0]: the rounding the pinned batch output has
-        # (tests/test_ewma_bit_identity.py). Seeding y with v[0], as the
-        # stream does, differs by an ulp on some series.
+        # (tests/test_ewma_bit_identity.py). The stream seeds its
+        # prediction with this first output, so the two agree bit for bit.
         alpha = self.alpha
         decay = 1.0 - alpha
         carry = decay * float(filled[0])
@@ -325,7 +325,9 @@ class _EWMAStream(SeverityStream):
                 # (batch backfills them, which changes nothing because
                 # the first severity is NaN anyway).
                 return float("nan")
-            self._prediction = value
+            # The batch filter's first output, alpha*v + (1-alpha)*v,
+            # which can differ from v by an ulp.
+            self._prediction = self._alpha * value + (1.0 - self._alpha) * value
             self._last_filled = value
             return float("nan")
         # Missing points are forward-filled into the recursion, matching

@@ -33,6 +33,7 @@ from .base import (
     ParamValue,
     SeverityStream,
     nan_row_stat,
+    scale_floor,
 )
 from .historical import MAD_TO_SIGMA
 
@@ -119,10 +120,7 @@ class SHESD(Detector):
     def _floor(residuals: np.ndarray, start: int) -> float:
         prefix = residuals[:start]
         finite = prefix[np.isfinite(prefix)]
-        if len(finite) == 0:
-            return 1e-12
-        magnitude = float(np.abs(finite).mean())
-        return 1e-6 * magnitude if magnitude > 0 else 1e-12
+        return scale_floor(float(np.abs(finite).mean()) if len(finite) else 0.0)
 
     def stream(self) -> SeverityStream:
         return _SHESDStream(self)
@@ -164,10 +162,8 @@ class _SHESDStream(SeverityStream):
         severity = float("nan")
         if self._count >= start:
             if self._floor is None:
-                self._floor = (
-                    1e-6 * self._floor_sum / self._floor_n
-                    if self._floor_n and self._floor_sum > 0.0
-                    else 1e-12
+                self._floor = scale_floor(
+                    self._floor_sum / self._floor_n if self._floor_n else 0.0
                 )
             window = np.asarray(self._residuals)
             finite = window[np.isfinite(window)]

@@ -36,6 +36,7 @@ from .base import (
     SeverityStream,
     register_family_builder,
     rolling_std,
+    scale_floor,
 )
 
 #: Table 3 grids.
@@ -121,10 +122,9 @@ class WaveletDetector(Detector):
         # Floor from the warm-up prefix only, so severities stay causal.
         prefix = details[: start]
         prefix_finite = prefix[np.isfinite(prefix)]
-        magnitude = (
+        floor = scale_floor(
             float(np.abs(prefix_finite).mean()) if len(prefix_finite) else 0.0
         )
-        floor = 1e-6 * magnitude if magnitude > 0 else 1e-12
         with np.errstate(invalid="ignore"):
             out[start:] = np.abs(details[start:]) / np.maximum(scale[start:], floor)
         return out
@@ -195,10 +195,8 @@ class _WaveletStream(SeverityStream):
         severity = float("nan")
         if self._count >= start:
             if self._floor is None:
-                floor_ok = self._floor_n and self._floor_sum > 0.0
-                self._floor = (
-                    1e-6 * self._floor_sum / self._floor_n
-                    if floor_ok else 1e-12
+                self._floor = scale_floor(
+                    self._floor_sum / self._floor_n if self._floor_n else 0.0
                 )
             scale = float(np.std(np.asarray(self._details)))
             with np.errstate(invalid="ignore"):

@@ -5,8 +5,8 @@ extraction ~0.15 s, classification < 0.0001 s, retraining < 5 min — so
 the repro needs first-class runtime accounting. This module is the
 storage layer: a :class:`MetricsRegistry` holds metric *families*
 (name + kind + help) whose children are distinguished by label sets,
-Prometheus-style. Everything is stdlib-only and thread-safe (feature
-extraction may run on a thread pool).
+Prometheus-style. Everything is stdlib-only and thread-safe (the serve
+plane records from its request threads).
 
 Naming follows the Prometheus conventions: ``repro_*_total`` counters,
 ``repro_*_seconds`` histograms with the fixed

@@ -225,7 +225,7 @@ def get_provider():
 
 def set_provider(provider):
     """Install ``provider`` globally; returns the previous provider."""
-    global _provider  # repro: disable=worker-reachability — the designed provider swap (the one sanctioned global); only reachable from workers through name-ambiguous .start/.run call-graph edges, and a worker-local swap is process-local by design
+    global _provider  # repro: disable=worker-reachability — the designed provider swap (the one sanctioned global); a shard installs its fresh provider once at start, and it holds telemetry only, which no checkpoint promises to restore
     previous = _provider
     _provider = provider
     return previous

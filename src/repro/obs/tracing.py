@@ -6,8 +6,8 @@ A *span* is one timed stage with metadata::
         matrix = extractor.extract(series)
         span.set("n_points", matrix.n_points)
 
-Spans nest (parent tracking is per-thread, so spans opened inside the
-feature-extraction thread pool attach to their own thread's stack) and
+Spans nest (parent tracking is per-thread, so spans opened on the serve
+plane's request threads attach to their own thread's stack) and
 finished spans are kept in a bounded buffer for in-process inspection —
 the §5.8 latency-ordering test reads per-span wall times directly.
 

@@ -20,12 +20,13 @@ A re-forked shard finds the ``live`` directory (or ``old``, if the
 kill landed mid-swap) and resumes from it — queued points, quarantine
 backoffs and open alert runs included.
 
-Unlike the stateless extraction workers of
-:mod:`repro.core.execution`, a shard is a long-lived stateful server:
-it deliberately owns mutable state (its fleet), so it is *not* listed
-under the ``worker-reachability`` lint entry points — nothing it
-mutates is ever expected to be visible to the parent except through
-explicit replies and checkpoints.
+A shard is a long-lived stateful server: it deliberately owns mutable
+state (its fleet), and that state reaches the parent only through
+explicit replies and checkpoints. Module- and class-level state is in
+no checkpoint, so a re-fork after ``kill -9`` would silently lose it:
+:func:`shard_worker_main` is therefore the root of the
+``worker-reachability`` lint rule, which rejects any such write
+reachable from it.
 """
 
 from __future__ import annotations

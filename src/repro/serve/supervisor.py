@@ -4,9 +4,8 @@
 :class:`~repro.fleet.ConsistentHashRing` from in-process shard
 *selection* to routing across N worker *processes*. Each shard process
 hosts a disjoint :class:`~repro.fleet.FleetManager` sub-fleet (see
-:mod:`repro.serve.shard`), is forked once at startup via the same
-``fork`` context the persistent extraction pool of
-:mod:`repro.core.execution` uses, and talks to the supervisor over a
+:mod:`repro.serve.shard`), is forked once at startup via the ``fork`` context of
+:mod:`repro.core.execution`, and talks to the supervisor over a
 private ``socketpair`` speaking the length-prefixed JSON protocol of
 :mod:`repro.serve.protocol`.
 

@@ -19,7 +19,7 @@ from repro.analysis.project.cache import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 ENTRY = """\
-    def _process_worker_run(task):
+    def shard_worker_main(task):
         return helper(task)
 """
 
@@ -88,7 +88,7 @@ class TestWarmRuns:
         assert cold.findings[0].file.endswith("b.py")
 
         write(tmp_path, "pkg/a.py", """\
-            def _process_worker_run(task):
+            def shard_worker_main(task):
                 return task
         """)
         warm = run(tmp_path, cache)

@@ -9,13 +9,20 @@ import numpy as np
 import pytest
 
 from repro.detectors import (
+    CUSUM,
+    SHESD,
     DetectorError,
     HistoricalAverage,
     HistoricalMad,
     TSD,
     TSDMad,
+    WaveletDetector,
 )
 from repro.timeseries import TimeSeries
+
+#: The least normal float64: a warm-up prefix holding it (and zeros)
+#: has a mean magnitude whose 1e-6 is subnormal.
+TINY = 2.2250738585072014e-308
 
 
 def ts(values, interval=60):
@@ -104,16 +111,36 @@ class TestHistoricalAverage:
         assert np.isfinite(out[14])
         assert out[14] > 1e3  # tiny floor -> very large severity
 
-    @pytest.mark.parametrize("kind", [HistoricalAverage, HistoricalMad])
-    def test_subnormal_prefix_floor_does_not_overflow(self, kind):
+    @pytest.mark.parametrize("detector, values", [
+        pytest.param(
+            HistoricalAverage(1, 2), [0.0, TINY] + [0.0] * 12 + [9e3, -9e3],
+            id="HistoricalAverage",
+        ),
+        pytest.param(
+            HistoricalMad(1, 2), [0.0, TINY] + [0.0] * 12 + [9e3, -9e3],
+            id="HistoricalMad",
+        ),
+        pytest.param(
+            CUSUM(4, 0.5), [TINY] + [0.0] * 7 + [9e3, -9e3], id="CUSUM"
+        ),
+        pytest.param(
+            SHESD(1, 2), [0.0, 0.0, TINY] + [0.0] * 5 + [9e3, -9e3],
+            id="SHESD",
+        ),
+        pytest.param(
+            WaveletDetector(1, "high", 2), [TINY] + [0.0] * 7 + [9e3, 0.0],
+            id="WaveletDetector",
+        ),
+    ])
+    def test_subnormal_prefix_floor_does_not_overflow(self, detector, values):
         # A warm-up prefix of near-zero magnitude must not shrink the
-        # floor below the all-zero prefix's; 9000 / 1e-315 overflows.
-        values = [0.0, 2.2250738585072014e-308] + [0.0] * 12 + [9e3, -9e3]
-        detector = kind(1, 2)
+        # scale floor below the all-zero prefix's (MIN_SCALE_FLOOR):
+        # over a zero-spread window, 9000 / 1e-315 overflows.
         out = detector.severities(ts(values))
         stream = detector.stream()
         streamed = [stream.update(v) for v in values]
-        assert np.isfinite(out[14:]).all()
+        warm = detector.warmup()
+        assert np.isfinite(out[warm:]).all()
         np.testing.assert_array_equal(streamed, out)
 
     def test_spike_scores_higher_than_normal(self, rng):

@@ -6,7 +6,8 @@ state form of a first-order IIR filter (``y = a*v + carry``,
 exactly what ``scipy.signal.lfilter`` computes, so every forest trained
 on these columns is unchanged. Two checks hold it there: an exact
 comparison against ``lfilter`` wherever scipy is installed, and a sha256
-of the severities over the same corpus, which runs without scipy.
+of the severities over the same corpus, which runs without scipy. The
+per-point stream is held to the same output, bit for bit.
 """
 
 from __future__ import annotations
@@ -128,3 +129,14 @@ def test_severities_digest_is_pinned():
             # One NaN bit pattern, whatever sign or payload arithmetic left.
             digest.update(np.where(np.isnan(out), np.nan, out).tobytes())
     assert digest.hexdigest() == SEVERITIES_SHA256
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_stream_equals_batch_exactly(alpha):
+    for values in _corpus():
+        stream = EWMA(alpha).stream()
+        streamed = np.array([stream.update(v) for v in values])
+        batch = _severities(alpha, values)
+        assert np.array_equal(streamed, batch, equal_nan=True), (
+            alpha, len(values)
+        )

@@ -1,4 +1,4 @@
-"""Fused family extraction: equivalence, streams, and the process pool.
+"""Fused family extraction: equivalence and streams.
 
 Three code paths produce severities — the fused per-family batch pass
 (:func:`repro.detectors.build_family_evaluators`), the per-config
@@ -11,30 +11,18 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
   families whose stream shares the batch kernel (Holt-Winters, SVD),
   documented-ULP-close (<= 1e-9) elsewhere — see docs/performance.md;
 * ``rolling_std`` survives large offsets (the catastrophic-cancellation
-  fix), agreeing with the strided fallback up to 1e9;
-* the ``process`` backend keeps ONE pool across ``run_tasks`` calls,
-  re-forks exactly once when a worker dies, and never orphans its
-  shared-memory segment — even when an evaluator raises and the result
-  generator is abandoned.
+  fix), agreeing with the strided fallback up to 1e9.
 """
-
-import gc
-import os
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.core.execution import ProcessBackend
 from repro.detectors import (
-    DetectorConfig,
-    SimpleThreshold,
     StreamBank,
     build_family_evaluators,
     configs_for,
     rolling_std,
 )
-from repro.detectors.base import FamilyEvaluator
 from repro.timeseries import TimeSeries
 
 #: Families whose per-point stream runs the same fused kernel as the
@@ -189,173 +177,3 @@ class TestRollingStdOffsets:
         out = rolling_std(values, 10)
         np.testing.assert_array_equal(out[10:], 0.0)
         assert np.isnan(out[:10]).all()
-
-
-# ----------------------------------------------------------------------
-# Process-backend lifecycle. The fake evaluators live at module level so
-# the fork-based workers can unpickle them by qualified name.
-# ----------------------------------------------------------------------
-class _PidEvaluator(FamilyEvaluator):
-    """Returns the executing worker's PID as a constant column."""
-
-    kind = "pid"
-
-    def __init__(self, index: int):
-        super().__init__([DetectorConfig(index, SimpleThreshold())])
-
-    def evaluate(self, series):
-        return np.full((len(series), 1), float(os.getpid()))
-
-
-class _RaiseEvaluator(FamilyEvaluator):
-    """Raises inside the worker (an ordinary evaluator failure)."""
-
-    kind = "raise"
-
-    def __init__(self):
-        super().__init__([DetectorConfig(0, SimpleThreshold())])
-
-    def evaluate(self, series):
-        raise ValueError("injected task failure")
-
-
-class _KillOnceEvaluator(FamilyEvaluator):
-    """Kills its worker process the first time it runs; the sentinel
-    file makes the resubmitted attempt succeed."""
-
-    kind = "kill"
-
-    def __init__(self, sentinel: str):
-        super().__init__([DetectorConfig(0, SimpleThreshold())])
-        self.sentinel = sentinel
-
-    def evaluate(self, series):
-        if not os.path.exists(self.sentinel):
-            with open(self.sentinel, "w"):
-                pass
-            os._exit(17)
-        return np.zeros((len(series), 1))
-
-
-def tiny_series() -> TimeSeries:
-    return TimeSeries(
-        values=np.arange(32, dtype=float), interval=60, name="tiny"
-    )
-
-
-class TestPersistentPool:
-    def test_pool_is_reused_across_run_tasks_calls(self):
-        """One fork, many extractions: the acceptance criterion that no
-        call pays a per-call pool fork."""
-        backend = ProcessBackend(workers=2)
-        series = tiny_series()
-        evaluators = [_PidEvaluator(0), _PidEvaluator(1), _PidEvaluator(2)]
-        try:
-            first = {
-                int(columns[0, 0])
-                for _, columns in backend.run_tasks(evaluators, series)
-            }
-            pool_after_first = backend._resources.pool
-            assert pool_after_first is not None
-            # The pool's workers, read once: the fork context starts
-            # all of them on first submit, and a re-forked pool would
-            # bring new pids.
-            workers = set(pool_after_first._processes)
-            assert workers and os.getpid() not in workers
-            second = {
-                int(columns[0, 0])
-                for _, columns in backend.run_tasks(evaluators, series)
-            }
-            # Same executor object — and both calls really ran in its
-            # workers, not in the parent or a silently re-forked pool.
-            # Which worker takes which evaluator is up to scheduling.
-            assert backend._resources.pool is pool_after_first
-            assert first <= workers
-            assert second <= workers
-            assert os.getpid() not in first | second
-        finally:
-            backend.close()
-
-    def test_segment_is_republished_per_series(self):
-        """Each call gets a fresh segment; the previous one is gone."""
-        backend = ProcessBackend(workers=2)
-        pair = [_PidEvaluator(0), _PidEvaluator(1)]
-        try:
-            list(backend.run_tasks(pair, tiny_series()))
-            first_name = backend._resources.shm.name
-            other = TimeSeries(
-                values=np.arange(16, dtype=float), interval=60, name="other"
-            )
-            list(backend.run_tasks(pair, other))
-            assert backend._resources.shm.name != first_name
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=first_name)
-        finally:
-            backend.close()
-
-    def test_refork_once_after_worker_death(self, tmp_path):
-        backend = ProcessBackend(workers=2)
-        series = tiny_series()
-        sentinel = tmp_path / "killed-once"
-        evaluators = [
-            _PidEvaluator(0), _KillOnceEvaluator(str(sentinel)), _PidEvaluator(2)
-        ]
-        try:
-            results = list(backend.run_tasks(evaluators, series))
-            delivered = sorted(
-                i for evaluator, _ in results for i in evaluator.indices
-            )
-            # Every evaluator's result arrives exactly once despite the
-            # mid-flight worker death, served by the re-forked pool.
-            assert delivered == [0, 0, 2]
-            assert sentinel.exists()
-        finally:
-            backend.close()
-
-    def test_task_exception_propagates_without_orphaning_segment(self):
-        """A worker-raised exception abandons the result
-        generator mid-iteration; close() must still unlink the shared
-        segment (pre-fix, the generator owned it and leaked)."""
-        backend = ProcessBackend(workers=2)
-        series = tiny_series()
-        generator = backend.run_tasks([_RaiseEvaluator(), _PidEvaluator(1)], series)
-        with pytest.raises(ValueError, match="injected task failure"):
-            for _ in generator:
-                pass
-        name = backend._resources.shm.name
-        # Owned by the backend, so it survives the dead generator...
-        probe = shared_memory.SharedMemory(name=name)
-        probe.close()
-        del generator
-        backend.close()
-        # ...and close() unlinks it: nothing left to attach to.
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_abandoned_generator_then_gc_releases_segment(self):
-        """Dropping every reference (no explicit close) must also free
-        the segment, via the weakref finalizer."""
-        backend = ProcessBackend(workers=2)
-        series = tiny_series()
-        generator = backend.run_tasks([_PidEvaluator(0), _PidEvaluator(1)], series)
-        next(generator)  # partially consumed, then abandoned
-        name = backend._resources.shm.name
-        del generator
-        del backend
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_close_is_idempotent_and_backend_recovers(self):
-        backend = ProcessBackend(workers=2)
-        series = tiny_series()
-        try:
-            pair = [_PidEvaluator(0), _PidEvaluator(1)]
-            list(backend.run_tasks(pair, series))
-            backend.close()
-            backend.close()
-            # Usable again after close: resources are re-acquired.
-            results = list(backend.run_tasks(pair, series))
-            assert len(results) == 2
-        finally:
-            backend.close()

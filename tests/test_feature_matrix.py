@@ -1,10 +1,26 @@
 """Feature-matrix assembly tests (§4.3), incl. the batched HW path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import FeatureExtractor, FeatureMatrix
-from repro.detectors import Diff, EWMA, HoltWinters, SimpleThreshold, build_configs
+from repro.detectors import (
+    Diff,
+    EWMA,
+    HoltWinters,
+    SimpleThreshold,
+    build_configs,
+    build_family_evaluators,
+    configs_for,
+)
+
+#: sha256 of the Table 3 matrix of the ``hourly_kpi`` fixture; any
+#: change to an extracted bit changes it.
+HOURLY_KPI_MATRIX_SHA256 = (
+    "ef2b3fb51c998de9b01aff7634743312b69743e7886c292b3f12dc25c87f1e50"
+)
 
 
 class TestFeatureMatrix:
@@ -66,6 +82,20 @@ class TestFeatureExtractor:
         assert matrix.n_features == 133
         assert len(set(matrix.names)) == 133
 
+    def test_matrix_digest_is_pinned(self, hourly_kpi):
+        values = FeatureExtractor().extract(hourly_kpi).values
+        assert values.dtype == np.float64 and values.flags["C_CONTIGUOUS"]
+        digest = hashlib.sha256(values.tobytes()).hexdigest()
+        assert digest == HOURLY_KPI_MATRIX_SHA256
+
+    def test_tasks_cover_every_config_exactly_once(self, hourly_kpi):
+        configs = configs_for(hourly_kpi)
+        evaluators = build_family_evaluators(configs)
+        indices = [i for e in evaluators for i in e.indices]
+        assert sorted(indices) == list(range(len(configs)))
+        names = {n for e in evaluators for n in e.names}
+        assert names == {c.name for c in configs}
+
     def test_extractor_without_configs_requires_series(self):
         with pytest.raises(ValueError, match="no series"):
             FeatureExtractor().configs()
@@ -74,22 +104,3 @@ class TestFeatureExtractor:
         with pytest.raises(RuntimeError):
             _ = FeatureExtractor().names
 
-
-class TestParallelExtraction:
-    def test_workers_produce_identical_matrix(self, hourly_kpi):
-        sequential = FeatureExtractor(workers=1).extract(hourly_kpi)
-        parallel = FeatureExtractor(workers=4).extract(hourly_kpi)
-        np.testing.assert_array_equal(
-            sequential.values, parallel.values
-        )
-        assert sequential.names == parallel.names
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(workers=-1)
-
-    def test_workers_zero_means_auto(self):
-        import os
-
-        extractor = FeatureExtractor(workers=0)
-        assert extractor.workers == (os.cpu_count() or 1)

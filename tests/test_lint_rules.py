@@ -496,11 +496,11 @@ class TestApiHygiene:
 # ---------------------------------------------------------------------------
 # worker-reachability
 # ---------------------------------------------------------------------------
-#: A process-pool entry point dispatching into detector methods, so the
+#: A shard entry point dispatching into detector methods, so the
 #: call graph makes ``severities`` (and whatever it calls) reachable.
 WORKER_ENTRY = """
 
-    def _process_worker_run(task, series):
+    def shard_worker_main(task, series):
         return task.severities(series)
 """
 
@@ -524,7 +524,7 @@ class TestWorkerReachability:
         assert flagged[0].severity is Severity.ERROR
         assert flagged[0].data["kind"] == "global"
         assert "_CALLS" in flagged[0].message
-        assert "_process_worker_run" in flagged[0].data["chain"]
+        assert "shard_worker_main" in flagged[0].data["chain"]
 
     def test_module_container_mutation_flagged(self, tmp_path):
         result = lint(tmp_path, {"det.py": mod(DETECTOR_PREAMBLE, """
@@ -602,7 +602,7 @@ class TestWorkerReachability:
                    if f.rule == "worker-reachability"]
         assert len(flagged) == 1
         chain = flagged[0].data["chain"]
-        assert "_process_worker_run" in chain
+        assert "shard_worker_main" in chain
         assert "_record" in chain
 
     def test_unreachable_mutator_stays_quiet(self, tmp_path):
