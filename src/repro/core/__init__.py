@@ -26,10 +26,8 @@ from .opprentice import (
     run_online,
 )
 from .persistence import (
-    load_checkpoint,
     load_model,
     load_service_checkpoint,
-    save_checkpoint,
     save_model,
     save_service_checkpoint,
 )
@@ -67,8 +65,6 @@ from .transfer import SeverityNormalizer, TransferDetector
 __all__ = [
     "save_model",
     "load_model",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_service_checkpoint",
     "load_service_checkpoint",
     "FeatureExtractor",

@@ -25,13 +25,8 @@ from ..ml import Imputer, RandomForest
 from .jsonio import JSONText, write_json
 from .opprentice import Opprentice
 from .service import MonitoringService
-from .streaming import StreamingDetector
 
 FORMAT_VERSION = 1
-
-#: On-disk envelope version for stream checkpoints (the inner layout is
-#: versioned separately by StreamingDetector.snapshot()).
-CHECKPOINT_FORMAT_VERSION = 1
 
 #: On-disk envelope version for full service checkpoints (the inner
 #: layout is versioned separately by MonitoringService.snapshot()).
@@ -117,42 +112,6 @@ def load_model(
     opprentice.imputer_ = imputer
     opprentice.cthld_ = float(payload["cthld"])
     return opprentice
-
-
-def save_checkpoint(
-    streaming: StreamingDetector, path: Union[str, Path]
-) -> None:
-    """Persist a :class:`StreamingDetector`'s warm stream state (JSON).
-
-    Together with :func:`save_model` this makes a deployed detector
-    process fully restartable: load the model, load the checkpoint, and
-    the next decision equals what the uninterrupted process would have
-    produced — no history replay. Severity buffers legitimately contain
-    NaN, so the document uses JSON's (widely supported, non-strict)
-    ``NaN`` token.
-    """
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "checkpoint": streaming.snapshot(),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(
-    path: Union[str, Path], opprentice: Opprentice
-) -> StreamingDetector:
-    """Rebuild a warm :class:`StreamingDetector` from a checkpoint saved
-    by :func:`save_checkpoint`. ``opprentice`` must be fitted and carry
-    the same detector bank the checkpoint was taken over (enforced via
-    feature names)."""
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format {version!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
-    return StreamingDetector(opprentice, checkpoint=payload["checkpoint"])
 
 
 def save_service_checkpoint(

@@ -696,6 +696,43 @@ class MonitoringService:
             "stats": self.stats.as_dict(),
         }
 
+    def _restore_streams(
+        self,
+        checkpoint: Mapping[str, Any],
+        history: TimeSeries,
+        pending_values: Sequence[float],
+    ) -> StreamingDetector:
+        """The warm detector streams of a snapshot.
+
+        A version-1 stream checkpoint holds one state per configuration,
+        which the family streams no longer read. Its streams had seen
+        exactly the history and the pending points, so replaying those
+        into fresh streams rebuilds the state they would have restored.
+        """
+        if checkpoint.get("format_version") != 1:
+            return StreamingDetector(
+                self._opprentice, checkpoint=checkpoint, kpi=history.name
+            )
+        streaming = StreamingDetector(self._opprentice, kpi=history.name)
+        streaming.check_feature_names(checkpoint["feature_names"])
+        seen = np.concatenate(
+            [history.values, np.asarray(pending_values, dtype=np.float64)]
+        )
+        if len(seen) != int(checkpoint["index"]) + 1:
+            raise ValueError(
+                f"stream checkpoint saw {int(checkpoint['index']) + 1} "
+                f"points, the snapshot holds {len(seen)}"
+            )
+        streaming.replay(
+            TimeSeries(
+                values=seen,
+                interval=history.interval,
+                start=history.start,
+                name=history.name,
+            )
+        )
+        return streaming
+
     def restore_snapshot(
         self, snapshot: Mapping[str, Any]
     ) -> "MonitoringService":
@@ -739,9 +776,8 @@ class MonitoringService:
             # The stream restore is the bank-compatibility gate: run it
             # first so a mismatched checkpoint leaves the service
             # untouched.
-            streaming = StreamingDetector(
-                self._opprentice, checkpoint=snapshot["stream"],
-                kpi=history.name,
+            streaming = self._restore_streams(
+                snapshot["stream"], history, snapshot["pending"]["values"]
             )
             self._history = history
             self._label_windows = [

@@ -25,8 +25,11 @@ from ..timeseries import TimeSeries
 from .opprentice import Opprentice
 
 #: Version tag of the stream-checkpoint dict layout produced by
-#: :meth:`StreamingDetector.snapshot`.
-STREAM_CHECKPOINT_VERSION = 1
+#: :meth:`StreamingDetector.snapshot`. Version 2 stores one state per
+#: detector family; version 1 (one state per configuration) is read
+#: only by :meth:`MonitoringService.restore_snapshot`, which rebuilds
+#: the streams by replaying the points they had seen.
+STREAM_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class StreamingDetector:
             )
         self._configs = configs
         # One fused stream per detector family (the Holt-Winters sweep
-        # is a single vectorised update instead of 64 scalar ones);
-        # checkpoints stay per-config — see StreamBank.
+        # is a single vectorised update instead of 64 scalar ones), and
+        # one checkpoint state per family — see StreamBank.
         self._bank = StreamBank(configs)
         self._index = -1
         if checkpoint is not None:
@@ -108,15 +111,15 @@ class StreamingDetector:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """The warm state of every detector stream as one
-        JSON-serializable checkpoint dict (see
-        :func:`repro.core.persistence.save_checkpoint` for the on-disk
-        form). Restoring it into a fresh StreamingDetector over the same
-        bank reproduces this detector's future decisions exactly."""
+        JSON-serializable checkpoint dict (a service checkpoint carries
+        it as its ``stream`` entry). Restoring it into a fresh
+        StreamingDetector over the same bank reproduces this detector's
+        future decisions exactly."""
         return {
             "format_version": STREAM_CHECKPOINT_VERSION,
             "index": self._index,
             "feature_names": [config.name for config in self._configs],
-            "streams": self._bank.snapshots(),
+            "streams": self._bank.snapshot(),
         }
 
     def restore(self, checkpoint: Mapping[str, Any]) -> "StreamingDetector":
@@ -127,19 +130,23 @@ class StreamingDetector:
                 f"unsupported stream checkpoint version {version!r} "
                 f"(expected {STREAM_CHECKPOINT_VERSION})"
             )
-        names = list(checkpoint["feature_names"])
-        current = [config.name for config in self._configs]
-        if names != current:
-            raise ValueError(
-                "detector bank mismatch: the checkpoint was taken over a "
-                "different feature set"
-            )
+        self.check_feature_names(checkpoint["feature_names"])
         with get_provider().span(
             "stream.restore", n_streams=len(self._bank)
         ):
             self._bank.restore(list(checkpoint["streams"]))
         self._index = int(checkpoint["index"])
         return self
+
+    def check_feature_names(self, names) -> None:
+        """Raise unless ``names`` are this detector's feature columns,
+        in order — the gate against restoring state taken over another
+        bank."""
+        if list(names) != [config.name for config in self._configs]:
+            raise ValueError(
+                "detector bank mismatch: the checkpoint was taken over a "
+                "different feature set"
+            )
 
     def buffered_points(self) -> int:
         """Total points buffered across all detector streams — the value

@@ -21,6 +21,19 @@ Two execution modes are provided:
 Both modes are **causal**: the severity of point *t* depends only on
 points ``0..t``. Points inside a detector's warm-up window (§4.3.2) get
 ``NaN`` severity and are skipped during detection.
+
+Configurations of one family (:meth:`Detector.family`) run together: a
+:class:`FamilyEvaluator` computes all their columns in one batch pass
+and its :class:`FamilyStream` advances all of them per point, with one
+checkpoint entry per family. The same-phase families (TSD/TSD MAD and
+historical average/MAD, :class:`SamePhaseEvaluator`) and Holt-Winters
+have one formulation: their streams run the batch kernels on one point,
+so stream == batch holds bit for bit, and the per-detector
+:meth:`Detector.stream` of those detectors is the one-config family
+stream. The nan-aware row kernels (:func:`row_nanmean`,
+:func:`row_nanmedian`, :func:`row_nanstd`) equal numpy's ``nan*``
+reductions bit for bit, cost as little on one row as on many, and
+return NaN for a row with no observed value without warning.
 """
 
 from __future__ import annotations
@@ -122,26 +135,22 @@ def _decode_state(value: Any) -> Any:
     return value
 
 
-class SeverityStream(abc.ABC):
-    """Online severity computation: one :meth:`update` per data point.
+class _StreamState:
+    """Generic checkpointing shared by :class:`SeverityStream` and
+    :class:`FamilyStream`.
 
-    Streams are *checkpointable*: :meth:`snapshot` captures the mutable
-    state as a JSON-serializable dict and :meth:`restore` rebuilds it on
-    a fresh stream of the same configuration, so a long-running service
-    can resume warm streams without replaying history. The generic
-    implementations walk ``__dict__``, skipping wiring (the owning
-    :class:`Detector`, bound methods/closures) and anything listed in
-    ``_snapshot_skip``; streams holding state the encoder cannot handle
-    override both methods (see ``_ARIMAStream``).
+    :meth:`snapshot` captures the mutable state as a JSON-serializable
+    dict and :meth:`restore` rebuilds it on a fresh stream of the same
+    configuration, so a long-running service can resume warm streams
+    without replaying history. The generic implementations walk
+    ``__dict__``, skipping wiring (the owning :class:`Detector` or
+    :class:`FamilyEvaluator`, bound methods/closures) and anything
+    listed in ``_snapshot_skip``; streams holding state the encoder
+    cannot handle override both methods (see ``_ARIMAStream``).
     """
 
     #: Attribute names the generic snapshot must not serialize.
     _snapshot_skip: Tuple[str, ...] = ()
-
-    @abc.abstractmethod
-    def update(self, value: float) -> float:
-        """Consume the next point and return its severity (NaN while the
-        detector is warming up or the value is missing)."""
 
     def snapshot(self) -> Dict[str, Any]:
         """The stream's mutable state as a JSON-serializable dict."""
@@ -149,18 +158,18 @@ class SeverityStream(abc.ABC):
         for key, value in self.__dict__.items():
             if key in self._snapshot_skip:
                 continue
-            if isinstance(value, Detector) or callable(value):
+            if isinstance(value, (Detector, FamilyEvaluator)) or callable(value):
                 continue
             state[key] = _encode_state(value)
         return state
 
-    def restore(self, state: Mapping[str, Any]) -> "SeverityStream":
+    def restore(self, state: Mapping[str, Any]):
         """Load a :meth:`snapshot` into this (fresh) stream and return it.
 
-        The stream must have been built by the *same* detector
-        configuration that produced the snapshot; this is enforced at
-        the :class:`~repro.core.StreamingDetector` level via feature
-        names, not per stream.
+        The stream must have been built by the *same* configuration that
+        produced the snapshot; this is enforced at the
+        :class:`~repro.core.StreamingDetector` level via feature names,
+        not per stream.
         """
         for key, value in state.items():
             setattr(self, key, _decode_state(value))
@@ -175,6 +184,19 @@ class SeverityStream(abc.ABC):
             if isinstance(value, (list, deque, np.ndarray)):
                 total += len(value)
         return total
+
+
+class SeverityStream(_StreamState, abc.ABC):
+    """Online severity computation: one :meth:`update` per data point.
+
+    Streams are *checkpointable* (:meth:`snapshot`/:meth:`restore`, see
+    :class:`_StreamState`).
+    """
+
+    @abc.abstractmethod
+    def update(self, value: float) -> float:
+        """Consume the next point and return its severity (NaN while the
+        detector is warming up or the value is missing)."""
 
 
 class Detector(abc.ABC):
@@ -446,6 +468,63 @@ def nan_row_stat(
     return out
 
 
+def row_nanmean(matrix: np.ndarray) -> np.ndarray:
+    """``np.nanmean(matrix, axis=-1)`` bit for bit, with NaN and no
+    warning for a row holding no observed value.
+
+    The sum and count are numpy's own (one reduction per row over a
+    copy with the NaN cells zeroed), so a one-row matrix gives exactly
+    the row of a many-row one. A 1-D vector reduces to a scalar, like
+    ``np.nanmean``.
+    """
+    mask = np.isnan(matrix)
+    count = np.add.reduce(~mask, axis=-1, dtype=np.intp)
+    total = np.add.reduce(np.where(mask, 0.0, matrix), axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return total / count
+
+
+def row_nanstd(matrix: np.ndarray) -> np.ndarray:
+    """``np.nanstd(matrix, axis=-1)`` bit for bit (numpy's two-pass
+    ``nanvar``, then the square root), NaN and no warning for a row
+    holding no observed value."""
+    mask = np.isnan(matrix)
+    count = np.add.reduce(~mask, axis=-1, dtype=np.intp, keepdims=True)
+    filled = np.where(mask, 0.0, matrix)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.add.reduce(filled, axis=-1, keepdims=True) / count
+        deviation = np.where(mask, 0.0, filled - mean)
+        squares = np.add.reduce(deviation * deviation, axis=-1)
+        return np.sqrt(squares / count[..., 0])
+
+
+def row_nanmedian(matrix: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(matrix, axis=1)`` of a 2-D matrix bit for bit, NaN
+    and no warning for a row holding no observed value.
+
+    Sorting a row puts its NaN last, so its ``count`` observed values
+    lead; the median is ``(lo + hi) / 2`` of the two middle ones (the
+    one middle value twice for an odd count), as numpy computes it. An
+    empty row reads its last cell, a NaN. Callers guard ``invalid``
+    (``-inf + inf`` in a row) under ``np.errstate``.
+    """
+    ordered = np.sort(matrix, axis=1)
+    count = np.add.reduce(~np.isnan(matrix), axis=1, dtype=np.intp)
+    rows = np.arange(len(matrix))
+    return (ordered[rows, (count - 1) // 2] + ordered[rows, count // 2]) / 2
+
+
+def same_phase_history(
+    values: np.ndarray, n_lags: int, lag: int
+) -> np.ndarray:
+    """``history[i, k]`` = the value ``(k + 1) * lag`` points before
+    point ``n_lags * lag + i``: the same phase in each of the previous
+    ``n_lags`` periods (weeks for TSD, days for historical)."""
+    indices = np.arange(n_lags * lag, len(values))
+    offsets = np.arange(1, n_lags + 1) * lag
+    return values[indices[:, np.newaxis] - offsets[np.newaxis, :]]
+
+
 def build_configs(detectors: Iterable[Detector]) -> List[DetectorConfig]:
     """Assign stable feature-column indices to a detector list."""
     return [DetectorConfig(i, d) for i, d in enumerate(detectors)]
@@ -454,41 +533,23 @@ def build_configs(detectors: Iterable[Detector]) -> List[DetectorConfig]:
 # ----------------------------------------------------------------------
 # Family-fused evaluation (the §5.8 hot-path contract)
 # ----------------------------------------------------------------------
-class FamilyStream(abc.ABC):
+class FamilyStream(_StreamState, abc.ABC):
     """Online counterpart of :class:`FamilyEvaluator`: one
     :meth:`update` per point returns the severity of *every* config in
-    the family, and checkpoints decompose into the same per-config
-    dicts the individual :class:`SeverityStream` classes produce, so
-    the :class:`~repro.core.StreamingDetector` checkpoint format is
-    unchanged."""
+    the family. A family checkpoints as one state
+    (:meth:`snapshot`/:meth:`restore`), so state the configs share —
+    a ring of raw values, the warm-up buffer — is stored once."""
 
     @abc.abstractmethod
     def update(self, value: float) -> np.ndarray:
         """Severity of the new point for each config, in family order."""
 
-    @abc.abstractmethod
-    def snapshots(self) -> List[Dict[str, Any]]:
-        """Per-config checkpoint dicts, in family order. Each dict must
-        be loadable by the config's own solo stream (and vice versa)."""
-
-    @abc.abstractmethod
-    def restore(self, states: Sequence[Mapping[str, Any]]) -> "FamilyStream":
-        """Load per-config snapshots (family order) into this fresh
-        stream and return it."""
-
-    def buffered_points(self) -> int:
-        """Buffered container state, aggregated across the family."""
-        total = 0
-        for value in self.__dict__.values():
-            if isinstance(value, (list, deque, np.ndarray)):
-                total += len(value)
-        return total
-
 
 class PerConfigStreams(FamilyStream):
     """Default family stream: one solo :class:`SeverityStream` per
     config, advanced in lockstep. Used whenever a family has no fused
-    streaming recurrence."""
+    streaming recurrence; its one checkpoint state holds the members'
+    states."""
 
     def __init__(self, streams: Sequence[SeverityStream]):
         self._streams = list(streams)
@@ -499,20 +560,43 @@ class PerConfigStreams(FamilyStream):
             dtype=np.float64,
         )
 
-    def snapshots(self) -> List[Dict[str, Any]]:
-        return [stream.snapshot() for stream in self._streams]
+    def snapshot(self) -> Dict[str, Any]:
+        return {"streams": [stream.snapshot() for stream in self._streams]}
 
-    def restore(self, states: Sequence[Mapping[str, Any]]) -> "PerConfigStreams":
+    def restore(self, state: Mapping[str, Any]) -> "PerConfigStreams":
+        states = state["streams"]
         if len(states) != len(self._streams):
             raise DetectorError(
                 f"expected {len(self._streams)} stream states, got {len(states)}"
             )
-        for stream, state in zip(self._streams, states):
-            stream.restore(state)
+        for stream, member in zip(self._streams, states):
+            stream.restore(member)
         return self
 
     def buffered_points(self) -> int:
         return sum(stream.buffered_points() for stream in self._streams)
+
+
+class FamilyMemberStream(SeverityStream):
+    """A one-config :class:`FamilyStream` seen as a
+    :class:`SeverityStream`: the per-detector stream of a detector whose
+    family stream is its only online formulation."""
+
+    def __init__(self, family: FamilyStream):
+        self._family = family
+
+    def update(self, value: float) -> float:
+        return float(self._family.update(value)[0])
+
+    def snapshot(self) -> Dict[str, Any]:
+        return self._family.snapshot()
+
+    def restore(self, state: Mapping[str, Any]) -> "FamilyMemberStream":
+        self._family.restore(state)
+        return self
+
+    def buffered_points(self) -> int:
+        return self._family.buffered_points()
 
 
 class FamilyEvaluator(abc.ABC):
@@ -627,6 +711,162 @@ def build_family_evaluators(
     return evaluators
 
 
+def solo_family(detector: Detector) -> FamilyEvaluator:
+    """The registered family evaluator over this one detector — for a
+    detector whose family evaluator is its only formulation, the batch
+    and online modes of the detector on its own."""
+    builder = _FAMILY_BUILDERS[detector.family()[0]]
+    return builder([DetectorConfig(0, detector)])
+
+
+# ----------------------------------------------------------------------
+# Same-phase families: TSD / TSD MAD and historical average / MAD
+# ----------------------------------------------------------------------
+class SamePhaseDetector(Detector):
+    """Scores each point against its *same-phase history*: the values
+    ``lag`` points apart over the previous ``n_lags`` periods (the same
+    time of week for TSD, the same time of day for historical).
+
+    Subclasses define ``lag``, ``n_lags`` and :meth:`_score_columns`.
+    Batch severities and the stream both run the family's
+    :class:`SamePhaseEvaluator` on this one config, so each mode scores
+    with the same kernel.
+    """
+
+    lag: int
+    n_lags: int
+
+    def warmup(self) -> int:
+        return self.n_lags * self.lag
+
+    def severities(self, series: TimeSeries) -> np.ndarray:
+        return solo_family(self).evaluate(series)[:, 0]
+
+    def stream(self) -> SeverityStream:
+        return FamilyMemberStream(solo_family(self).make_stream())
+
+    def _prefix_state(self, prefix: np.ndarray) -> Optional[float]:
+        """A statistic of the warm-up prefix ``values[:warmup()]`` that
+        scoring needs (the historical scale floor), or None."""
+        return None
+
+    @abc.abstractmethod
+    def _score_columns(
+        self, tail: np.ndarray, history: np.ndarray, state: Optional[float]
+    ) -> np.ndarray:
+        """Severity of each post-warm-up point of ``tail`` given its
+        same-phase ``history`` row and the :meth:`_prefix_state`."""
+
+
+class SamePhaseEvaluator(FamilyEvaluator):
+    """Fused pass over a same-phase family: one history gather and one
+    prefix statistic per window size feed every config of that size.
+    Its stream (:class:`SamePhaseStream`) scores each point with the
+    same :meth:`_score` on a one-row history."""
+
+    def __init__(self, configs: Sequence[DetectorConfig]):
+        super().__init__(configs)
+        lags = {config.detector.lag for config in self.configs}
+        if len(lags) != 1:
+            raise DetectorError(
+                f"{self.kind} family spans several lags: {sorted(lags)}"
+            )
+        self.lag: int = lags.pop()
+        by_window: Dict[int, List[int]] = {}
+        for j, config in enumerate(self.configs):
+            by_window.setdefault(config.detector.n_lags, []).append(j)
+        #: ``(n_lags, family columns)`` per window size, ascending.
+        self.windows: List[Tuple[int, List[int]]] = sorted(by_window.items())
+
+    def evaluate(self, series: TimeSeries) -> np.ndarray:
+        values = Detector._validate(series)
+        n = len(values)
+        out = np.full((n, len(self.configs)), np.nan)
+        for n_lags, columns in self.windows:
+            start = n_lags * self.lag
+            if n <= start:
+                break
+            history = same_phase_history(values, n_lags, self.lag)
+            state = self._prefix_state(columns, values[:start])
+            self._score(out[start:], columns, values[start:], history, state)
+        return out
+
+    def _prefix_state(
+        self, columns: Sequence[int], prefix: np.ndarray
+    ) -> Optional[float]:
+        return self.configs[columns[0]].detector._prefix_state(prefix)
+
+    def _score(
+        self,
+        out: np.ndarray,
+        columns: Sequence[int],
+        tail: np.ndarray,
+        history: np.ndarray,
+        state: Optional[float],
+    ) -> None:
+        for j in columns:
+            out[:, j] = self.configs[j].detector._score_columns(
+                tail, history, state
+            )
+
+    def make_stream(self) -> FamilyStream:
+        return SamePhaseStream(self)
+
+
+class SamePhaseStream(FamilyStream):
+    """Online counterpart of :class:`SamePhaseEvaluator`.
+
+    One ring of raw values, sized for the family's largest window,
+    serves every config. Each point gathers its same-phase history for
+    the largest window from the ring, in :func:`same_phase_history`'s
+    offset order, so a smaller window's one-row history is its leading
+    columns; the batch kernel scores it. A window's prefix statistic is
+    taken from the ring's prefix when its warm-up completes. So each
+    row equals the batch matrix row bit for bit.
+    """
+
+    _snapshot_skip = ("_offsets",)
+
+    def __init__(self, evaluator: SamePhaseEvaluator):
+        self._evaluator = evaluator
+        largest = evaluator.windows[-1][0]
+        self._offsets = np.arange(1, largest + 1) * evaluator.lag
+        self._ring = np.full(largest * evaluator.lag, np.nan)
+        self._count = 0
+        #: Prefix statistic per window size, set once it is warm.
+        self._states: List[Optional[float]] = [None] * len(evaluator.windows)
+
+    def update(self, value: float) -> np.ndarray:
+        evaluator = self._evaluator
+        out = np.full((1, len(evaluator.configs)), np.nan)
+        size = len(self._ring)
+        position = self._count % size
+        if self._count >= evaluator.windows[0][0] * evaluator.lag:
+            tail = np.array([value], dtype=np.float64)
+            history = self._ring[(position - self._offsets) % size]
+            for g, (n_lags, columns) in enumerate(evaluator.windows):
+                start = n_lags * evaluator.lag
+                if self._count < start:
+                    break
+                if self._count == start:
+                    self._states[g] = evaluator._prefix_state(
+                        columns, self._ring[:start]
+                    )
+                evaluator._score(
+                    out,
+                    columns,
+                    tail,
+                    history[np.newaxis, :n_lags],
+                    self._states[g],
+                )
+        self._ring[position] = value
+        self._count += 1
+        return out[0]
+
+    def buffered_points(self) -> int:
+        return len(self._ring)
+
+
 class StreamBank:
     """Warm per-point extraction over a whole configuration bank.
 
@@ -635,8 +875,7 @@ class StreamBank:
     back to the bank's column order, so :meth:`extract_point` fills a
     full feature row with one fused update per family (§4.3.2: the
     severity of a new point is computed the moment it arrives).
-    Checkpoints stay per-config — :meth:`snapshots` returns one dict
-    per bank position, interchangeable with the solo streams'.
+    Checkpoints hold one state per family stream, in evaluator order.
     """
 
     def __init__(self, configs: Sequence[DetectorConfig]):
@@ -668,22 +907,19 @@ class StreamBank:
             row[positions] = stream.update(value)
         return row
 
-    def snapshots(self) -> List[Dict[str, Any]]:
-        """Per-config checkpoint dicts, in bank order."""
-        states: List[Optional[Dict[str, Any]]] = [None] * len(self._configs)
-        for stream, positions in zip(self._streams, self._positions):
-            for pos, state in zip(positions, stream.snapshots()):
-                states[pos] = state
-        return states  # type: ignore[return-value]
+    def snapshot(self) -> List[Dict[str, Any]]:
+        """One checkpoint state per family stream, in evaluator order."""
+        return [stream.snapshot() for stream in self._streams]
 
     def restore(self, states: Sequence[Mapping[str, Any]]) -> "StreamBank":
-        """Load per-config snapshots (bank order) into fresh streams."""
-        if len(states) != len(self._configs):
+        """Load a :meth:`snapshot` into this bank's fresh streams."""
+        if len(states) != len(self._streams):
             raise DetectorError(
-                f"expected {len(self._configs)} stream states, got {len(states)}"
+                f"expected {len(self._streams)} family stream states, "
+                f"got {len(states)}"
             )
-        for stream, positions in zip(self._streams, self._positions):
-            stream.restore([states[pos] for pos in positions])
+        for stream, state in zip(self._streams, states):
+            stream.restore(state)
         return self
 
     def buffered_points(self) -> int:

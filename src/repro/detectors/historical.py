@@ -13,20 +13,20 @@ standard robust scale estimate, improving robustness to dirty data
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..timeseries import TimeSeries
 from .base import (
-    Detector,
-    DetectorConfig,
     DetectorError,
-    FamilyEvaluator,
     FamilyKey,
     ParamValue,
-    SeverityStream,
+    SamePhaseDetector,
+    SamePhaseEvaluator,
     register_family_builder,
+    row_nanmean,
+    row_nanmedian,
+    row_nanstd,
     scale_floor,
 )
 
@@ -37,8 +37,8 @@ HISTORICAL_WINDOWS_WEEKS = (1, 2, 3, 4, 5)
 MAD_TO_SIGMA = 1.4826
 
 
-class _HistoricalBase(Detector):
-    """Same-time-of-day history matrix shared by both variants."""
+class _HistoricalBase(SamePhaseDetector):
+    """Same-time-of-day history shared by both variants."""
 
     def __init__(self, window_weeks: int, points_per_day: int):
         if window_weeks <= 0:
@@ -53,104 +53,38 @@ class _HistoricalBase(Detector):
         self.points_per_day = points_per_day
         self.window_days = 7 * window_weeks
 
+    @property
+    def lag(self) -> int:
+        return self.points_per_day
+
+    @property
+    def n_lags(self) -> int:
+        return self.window_days
+
     def params(self) -> Dict[str, ParamValue]:
         return {"win": f"{self.window_weeks}w"}
-
-    def warmup(self) -> int:
-        return self.window_days * self.points_per_day
 
     def family(self) -> Optional[FamilyKey]:
         # Average and MAD configs of one grid share the history gather
         # and scale floor (one per window size).
         return ("historical", self.points_per_day)
 
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        n = len(values)
-        out = np.full(n, np.nan)
-        start = self.warmup()
-        if n <= start:
-            return out
-        history = self._history(values)
-        floor = self._scale_floor(values)
-        out[start:] = self._score_columns(values[start:], history, floor)
-        return out
-
-    def _score_columns(
-        self, tail: np.ndarray, history: np.ndarray, floor: float
-    ) -> np.ndarray:
-        """Severity of each post-warm-up point given its same-time-of-day
-        ``history`` rows and the fixed scale ``floor``."""
-        raise NotImplementedError
-
     def stream_memory(self) -> None:
         # The scale floor is fixed from the *original* warm-up prefix
         # (see _scale_floor); a truncated buffer would recompute it from
-        # a different prefix. The ring-buffer stream carries it instead.
+        # a different prefix. The family stream carries it instead.
         return None
 
-    def _history(self, values: np.ndarray) -> np.ndarray:
-        """history[i, k] = value at the same time-of-day, k+1 days before
-        point ``warmup + i``."""
-        n = len(values)
-        start = self.warmup()
-        indices = np.arange(start, n)
-        offsets = (np.arange(1, self.window_days + 1) * self.points_per_day)
-        return values[indices[:, np.newaxis] - offsets[np.newaxis, :]]
+    def _prefix_state(self, prefix: np.ndarray) -> float:
+        return self._scale_floor(prefix)
 
-    def _scale_floor(self, values: np.ndarray) -> float:
+    @staticmethod
+    def _scale_floor(prefix: np.ndarray) -> float:
         """Floor for the scale estimate so constant histories do not
         yield infinite severities. Computed from the warm-up prefix only
         so severities stay causal (appending future data must never
         change past severities)."""
-        prefix = values[: self.warmup()]
-        magnitude = np.nanmean(np.abs(prefix)) if len(prefix) else np.nan
-        return scale_floor(magnitude)
-
-
-class _HistoricalStream(SeverityStream):
-    """Ring-buffer stream over the same-time-of-day history.
-
-    The scale floor matches the batch mode (:func:`scale_floor` of the
-    warm-up prefix's mean magnitude, fixed once the warm-up completes).
-    """
-
-    def __init__(self, detector: "_HistoricalBase"):
-        self._detector = detector
-        size = detector.warmup()
-        self._ring = np.full(size, np.nan)
-        self._count = 0
-        self._prefix_abs_sum = 0.0
-        self._prefix_n = 0
-        self._floor: float | None = None
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        detector = self._detector
-        size = len(self._ring)
-        position = self._count % size
-        if self._count < size:
-            # Warm-up: accumulate the floor statistic over finite
-            # prefix values (matching the batch nanmean semantics).
-            if np.isfinite(value):
-                self._prefix_abs_sum += abs(value)
-                self._prefix_n += 1
-            severity = float("nan")
-        else:
-            if self._floor is None:
-                self._floor = scale_floor(
-                    self._prefix_abs_sum / self._prefix_n
-                    if self._prefix_n else 0.0
-                )
-            offsets = (
-                position
-                - np.arange(1, detector.window_days + 1) * detector.points_per_day
-            ) % size
-            history = self._ring[offsets]
-            severity = detector._score_one(value, history, self._floor)
-        self._ring[position] = value
-        self._count += 1
-        return severity
+        return scale_floor(row_nanmean(np.abs(prefix)))
 
 
 class HistoricalAverage(_HistoricalBase):
@@ -158,25 +92,11 @@ class HistoricalAverage(_HistoricalBase):
 
     kind = "historical average"
 
-    def stream(self) -> SeverityStream:
-        return _HistoricalStream(self)
-
-    def _score_one(
-        self, value: float, history: np.ndarray, floor: float
-    ) -> float:
-        finite = history[np.isfinite(history)]
-        if len(finite) == 0:
-            return float("nan")
-        mean = float(finite.mean())
-        std = float(finite.std())
-        return abs(value - mean) / max(std, floor)
-
     def _score_columns(
         self, tail: np.ndarray, history: np.ndarray, floor: float
     ) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            mean = np.nanmean(history, axis=1)
-            std = np.nanstd(history, axis=1)
+        mean = row_nanmean(history)
+        std = row_nanstd(history)
         return np.abs(tail - mean) / np.maximum(std, floor)
 
 
@@ -185,67 +105,21 @@ class HistoricalMad(_HistoricalBase):
 
     kind = "historical MAD"
 
-    def stream(self) -> SeverityStream:
-        return _HistoricalStream(self)
-
-    def _score_one(
-        self, value: float, history: np.ndarray, floor: float
-    ) -> float:
-        finite = history[np.isfinite(history)]
-        if len(finite) == 0:
-            return float("nan")
-        median = float(np.median(finite))
-        mad = float(np.median(np.abs(finite - median)))
-        return abs(value - median) / max(MAD_TO_SIGMA * mad, floor)
-
     def _score_columns(
         self, tail: np.ndarray, history: np.ndarray, floor: float
     ) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            median = np.nanmedian(history, axis=1)
-            mad = np.nanmedian(
-                np.abs(history - median[:, np.newaxis]), axis=1
-            )
+            median = row_nanmedian(history)
+            mad = row_nanmedian(np.abs(history - median[:, np.newaxis]))
         scale = np.maximum(MAD_TO_SIGMA * mad, floor)
         return np.abs(tail - median) / scale
 
 
 @register_family_builder("historical")
-class HistoricalBankEvaluator(FamilyEvaluator):
-    """Fused pass over historical average + historical MAD: one
-    same-time-of-day history gather and one scale floor per window size
-    feed both variants' statistics."""
+class HistoricalBankEvaluator(SamePhaseEvaluator):
+    """Fused pass over historical average + historical MAD of one day
+    grid: one same-time-of-day history gather and one scale floor per
+    window size feed both variants' statistics, in batch and in the
+    stream."""
 
     kind = "historical"
-
-    def __init__(self, configs):
-        super().__init__(configs)
-        grids = {config.detector.points_per_day for config in self.configs}
-        if len(grids) != 1:
-            raise DetectorError(
-                f"historical family spans several day grids: {sorted(grids)}"
-            )
-        self.points_per_day = grids.pop()
-
-    def evaluate(self, series: TimeSeries) -> np.ndarray:
-        values = Detector._validate(series)
-        n = len(values)
-        out = np.full((n, len(self.configs)), np.nan)
-        by_window: Dict[int, List[Tuple[int, DetectorConfig]]] = {}
-        for j, config in enumerate(self.configs):
-            by_window.setdefault(config.detector.window_weeks, []).append(
-                (j, config)
-            )
-        for _, items in sorted(by_window.items()):
-            lead = items[0][1].detector
-            start = lead.warmup()
-            if n <= start:
-                continue
-            history = lead._history(values)
-            floor = lead._scale_floor(values)
-            tail = values[start:]
-            for j, config in items:
-                out[start:, j] = config.detector._score_columns(
-                    tail, history, floor
-                )
-        return out

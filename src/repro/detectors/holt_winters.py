@@ -21,7 +21,7 @@ and get NaN severity.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,12 @@ from .base import (
     DetectorError,
     FamilyEvaluator,
     FamilyKey,
+    FamilyMemberStream,
     FamilyStream,
     ParamValue,
     SeverityStream,
     register_family_builder,
+    solo_family,
 )
 
 #: Table 3 smoothing-parameter grid.
@@ -43,7 +45,11 @@ HW_GRID = (0.2, 0.4, 0.6, 0.8)
 
 
 class HoltWinters(Detector):
-    """Additive Holt-Winters forecaster; severity = |residual|."""
+    """Additive Holt-Winters forecaster; severity = |residual|.
+
+    Batch and stream both run the family's one recurrence
+    (:class:`_HoltWintersBankStream`) over this one configuration.
+    """
 
     kind = "holt-winters"
 
@@ -77,16 +83,10 @@ class HoltWinters(Detector):
         return None
 
     def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        stream = self.stream()
-        return np.fromiter(
-            (stream.update(v) for v in values), dtype=np.float64, count=len(values)
-        )
+        return solo_family(self).evaluate(series)[:, 0]
 
     def stream(self) -> SeverityStream:
-        return _HoltWintersStream(
-            self.alpha, self.beta, self.gamma, self.season_points
-        )
+        return FamilyMemberStream(solo_family(self).make_stream())
 
 
 def batch_severities(
@@ -100,109 +100,18 @@ def batch_severities(
 
     The 64 Table 3 configurations share everything but (alpha, beta,
     gamma), so the state update vectorises across configurations: one
-    pass over the series updates a (n_configs,) level/trend vector and a
-    (n_configs, season) seasonal matrix. Point-for-point identical to
-    running each configuration's stream (the tests assert this); ~50x
-    faster than 64 scalar loops.
+    pass over the series advances :class:`_HoltWintersBankStream` — the
+    same recurrence the service streams point by point — writing each
+    point's severities straight into its output row.
 
     Returns an (n_points, n_configs) severity matrix.
     """
     values = np.asarray(values, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    gammas = np.asarray(gammas, dtype=np.float64)
-    if not alphas.shape == betas.shape == gammas.shape:
-        raise DetectorError("parameter arrays must share one shape")
-    n, m = len(values), len(alphas)
-    out = np.full((n, m), np.nan)
-    if n <= season:
-        return out
-
-    init = values[:season]
-    finite = init[np.isfinite(init)]
-    mean = finite.mean() if len(finite) else 0.0
-    level = np.full(m, mean)
-    trend = np.zeros(m)
-    seasonals = np.tile(
-        np.where(np.isfinite(init), init - mean, 0.0), (m, 1)
-    )
-
-    for t in range(season, n):
-        value = values[t]
-        phase = t % season
-        seasonal = seasonals[:, phase]
-        if math.isnan(value):
-            continue
-        forecast = level + trend + seasonal
-        out[t] = np.abs(value - forecast)
-        new_level = alphas * (value - seasonal) + (1.0 - alphas) * (level + trend)
-        trend = betas * (new_level - level) + (1.0 - betas) * trend
-        seasonals[:, phase] = (
-            gammas * (value - new_level) + (1.0 - gammas) * seasonal
-        )
-        level = new_level
+    out = np.full((len(values), np.size(alphas)), np.nan)
+    stream = _HoltWintersBankStream(alphas, betas, gammas, season)
+    for value, row in zip(values.tolist(), out):
+        stream.advance(value, row)
     return out
-
-
-class _HoltWintersStream(SeverityStream):
-    """Online Holt-Winters; the batch mode reuses this loop so the two
-    agree trivially."""
-
-    def __init__(self, alpha: float, beta: float, gamma: float, season: int):
-        self._alpha = alpha
-        self._beta = beta
-        self._gamma = gamma
-        self._season = season
-        self._init_buffer: list = []
-        self._seasonals: list = []
-        self._level = 0.0
-        self._trend = 0.0
-        self._t = 0
-
-    def _initialise(self) -> None:
-        init = np.asarray(self._init_buffer, dtype=np.float64)
-        finite = init[np.isfinite(init)]
-        # numpy's pairwise-summation mean, so the initial level is
-        # bit-identical to the fused batch sweep's.
-        mean = float(finite.mean()) if len(finite) else 0.0
-        self._level = mean
-        self._trend = 0.0
-        self._seasonals = [
-            (v - mean) if not math.isnan(v) else 0.0 for v in self._init_buffer
-        ]
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        season = self._season
-        if self._t < season:
-            # Warm-up: collect the first season to initialise the state.
-            self._init_buffer.append(value)
-            self._t += 1
-            if self._t == season:
-                self._initialise()
-            return float("nan")
-
-        phase = self._t % season
-        seasonal = self._seasonals[phase]
-        forecast = self._level + self._trend + seasonal
-        self._t += 1
-        if math.isnan(value):
-            # Missing point: freeze the state, no severity.
-            return float("nan")
-        severity = abs(value - forecast)
-        last_level = self._level
-        self._level = (
-            self._alpha * (value - seasonal)
-            + (1.0 - self._alpha) * (last_level + self._trend)
-        )
-        self._trend = (
-            self._beta * (self._level - last_level)
-            + (1.0 - self._beta) * self._trend
-        )
-        self._seasonals[phase] = (
-            self._gamma * (value - self._level) + (1.0 - self._gamma) * seasonal
-        )
-        return severity
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +155,14 @@ class HoltWintersBankEvaluator(FamilyEvaluator):
 
 
 class _HoltWintersBankStream(FamilyStream):
-    """Online counterpart of :func:`batch_severities`: one vectorised
-    state update per point covers every configuration of the family.
-    Checkpoints decompose into the exact per-config dicts
-    :class:`_HoltWintersStream` snapshots produce, so bank checkpoints
-    stay interchangeable with solo-stream checkpoints."""
+    """The Holt-Winters recurrence: one vectorised state update per
+    point covers every configuration of the family. The first season
+    initialises the state (level = mean of its observed values,
+    seasonals = their deviations from it); a missing point keeps the
+    state frozen and gets NaN severity.
+    """
+
+    _snapshot_skip = ("_alphas", "_betas", "_gammas", "_season")
 
     def __init__(
         self,
@@ -262,101 +174,63 @@ class _HoltWintersBankStream(FamilyStream):
         self._alphas = np.asarray(alphas, dtype=np.float64)
         self._betas = np.asarray(betas, dtype=np.float64)
         self._gammas = np.asarray(gammas, dtype=np.float64)
+        if not self._alphas.shape == self._betas.shape == self._gammas.shape:
+            raise DetectorError("parameter arrays must share one shape")
         self._season = int(season)
-        self._k = len(self._alphas)
+        k = len(self._alphas)
+        #: The first season's values, until they initialise the state.
         self._init_buffer: List[float] = []
-        self._level = np.zeros(self._k)
-        self._trend = np.zeros(self._k)
-        self._seasonals = np.zeros((self._k, self._season))
+        self._level = np.zeros(k)
+        self._trend = np.zeros(k)
+        self._seasonals = np.zeros((k, 0))
         self._t = 0
 
     def _initialise(self) -> None:
         init = np.asarray(self._init_buffer, dtype=np.float64)
         finite = init[np.isfinite(init)]
         mean = finite.mean() if len(finite) else 0.0
-        self._level = np.full(self._k, mean)
-        self._trend = np.zeros(self._k)
+        k = len(self._alphas)
+        self._level = np.full(k, mean)
+        self._trend = np.zeros(k)
         self._seasonals = np.tile(
-            np.where(np.isfinite(init), init - mean, 0.0), (self._k, 1)
+            np.where(np.isfinite(init), init - mean, 0.0), (k, 1)
         )
+        self._init_buffer = []
 
-    def update(self, value: float) -> np.ndarray:
-        value = float(value)
+    def advance(self, value: float, out: np.ndarray) -> None:
+        """Consume the next point, writing its severity per config into
+        ``out``; ``out`` is left as it is (NaN) during the warm-up
+        season and for a missing point."""
         season = self._season
         if self._t < season:
             self._init_buffer.append(value)
             self._t += 1
             if self._t == season:
                 self._initialise()
-            return np.full(self._k, np.nan)
-
+            return
         phase = self._t % season
         seasonal = self._seasonals[:, phase]
         self._t += 1
         if math.isnan(value):
-            # Missing point: freeze the state, no severity.
-            return np.full(self._k, np.nan)
+            return
         forecast = self._level + self._trend + seasonal
-        severity = np.abs(value - forecast)
-        new_level = self._alphas * (value - seasonal) + (
+        np.abs(value - forecast, out=out)
+        level = self._alphas * (value - seasonal) + (
             1.0 - self._alphas
         ) * (self._level + self._trend)
         self._trend = (
-            self._betas * (new_level - self._level)
+            self._betas * (level - self._level)
             + (1.0 - self._betas) * self._trend
         )
         self._seasonals[:, phase] = (
-            self._gammas * (value - new_level) + (1.0 - self._gammas) * seasonal
+            self._gammas * (value - level) + (1.0 - self._gammas) * seasonal
         )
-        self._level = new_level
-        return severity
+        self._level = level
 
-    def snapshots(self) -> List[Dict[str, Any]]:
-        warmed = self._t >= self._season
-        states: List[Dict[str, Any]] = []
-        for j in range(self._k):
-            states.append(
-                {
-                    "_alpha": float(self._alphas[j]),
-                    "_beta": float(self._betas[j]),
-                    "_gamma": float(self._gammas[j]),
-                    "_season": self._season,
-                    "_init_buffer": [float(v) for v in self._init_buffer],
-                    "_seasonals": (
-                        [float(v) for v in self._seasonals[j]] if warmed else []
-                    ),
-                    "_level": float(self._level[j]),
-                    "_trend": float(self._trend[j]),
-                    "_t": self._t,
-                }
-            )
-        return states
-
-    def restore(
-        self, states: Sequence[Mapping[str, Any]]
-    ) -> "_HoltWintersBankStream":
-        if len(states) != self._k:
-            raise DetectorError(
-                f"expected {self._k} holt-winters states, got {len(states)}"
-            )
-        ticks = {int(state["_t"]) for state in states}
-        if len(ticks) != 1:
-            raise DetectorError(
-                f"holt-winters family states out of sync: t={sorted(ticks)}"
-            )
-        self._t = ticks.pop()
-        self._init_buffer = [float(v) for v in states[0]["_init_buffer"]]
-        if self._t >= self._season:
-            self._level = np.array(
-                [state["_level"] for state in states], dtype=np.float64
-            )
-            self._trend = np.array(
-                [state["_trend"] for state in states], dtype=np.float64
-            )
-            self._seasonals = np.array(
-                [state["_seasonals"] for state in states], dtype=np.float64
-            )
-        return self
+    def update(self, value: float) -> np.ndarray:
+        out = np.full(len(self._alphas), np.nan)
+        self.advance(float(value), out)
+        return out
 
     def buffered_points(self) -> int:
         return len(self._init_buffer) + int(self._seasonals.size)

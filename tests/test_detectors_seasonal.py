@@ -244,6 +244,19 @@ class TestAllNaNHistory:
         assert batch[8] == pytest.approx(1.5)
         np.testing.assert_array_equal(batch, streamed)
 
+    @pytest.mark.parametrize("cls", [HistoricalAverage, HistoricalMad])
+    def test_all_nan_warm_up_batch_and_stream(self, cls):
+        # A first week (7 days of 2 points) with no observed value: the
+        # scale floor's prefix and the first histories are all-NaN.
+        values = [np.nan] * 14 + [10.0, 20.0, 11.0, 19.0] * 5
+        detector = cls(window_weeks=1, points_per_day=2)
+        batch = detector.severities(ts(values))
+        stream = detector.stream()
+        streamed = np.array([stream.update(v) for v in values])
+        assert np.isnan(batch[:16]).all()
+        assert np.isfinite(batch[-6:]).all()
+        np.testing.assert_array_equal(batch, streamed)
+
     def test_shesd_with_missing_weeks(self):
         from repro.detectors.shesd import SHESD
 

@@ -8,11 +8,19 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
 * fused == per-config serial, *bit for bit*, including NaN masks, over
   the full 133-configuration bank on both clean and dirty (§6) data;
 * incremental == batch with identical NaN masks; exact for the
-  families whose stream shares the batch kernel (Holt-Winters, SVD),
-  documented-ULP-close (<= 1e-9) elsewhere — see docs/performance.md;
+  families whose stream runs the batch kernel (seasonal-residual,
+  historical, Holt-Winters, SVD), documented-ULP-close (<= 1e-9) for
+  the window bank and wavelet — see docs/performance.md;
+* a bank checkpoint holds one state per family, and a same-phase
+  family's state holds one ring of raw values;
+* the nan-aware row kernels equal numpy's ``nan*`` reductions bit for
+  bit, and a one-row call equals the row of a many-row call;
 * ``rolling_std`` survives large offsets (the catastrophic-cancellation
   fix), agreeing with the strided fallback up to 1e9.
 """
+
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +31,19 @@ from repro.detectors import (
     configs_for,
     rolling_std,
 )
+from repro.detectors.base import row_nanmean, row_nanmedian, row_nanstd
 from repro.timeseries import TimeSeries
 
 #: Families whose per-point stream runs the same fused kernel as the
 #: batch pass — stream == batch must hold exactly, not just closely.
-EXACT_STREAM_FAMILIES = {"holt-winters", "svd"}
+EXACT_STREAM_FAMILIES = {"holt-winters", "svd", "seasonal-residual", "historical"}
 
-#: Everything else may differ by accumulated float64 rounding between
-#: the fused batch formulation and the per-point recurrence.
+#: The window bank and wavelet streams are causal recurrences, while
+#: their batch kernels pick a formulation from the whole series:
+#: ``rolling_mean`` takes its cumulative-sum branch only when every
+#: value is finite, and ``rolling_std`` centres on the series mean. No
+#: causal stream can match those bit for bit without changing the batch
+#: numbers, so the two agree to accumulated float64 rounding.
 STREAM_ATOL = 1e-9
 
 
@@ -127,16 +140,16 @@ class TestIncrementalEquivalence:
                     err_msg=f"stream != batch for shared-kernel {config.name}",
                 )
 
-    def test_bank_checkpoints_are_per_config(self, hourly_kpi):
-        """A fused bank snapshot decomposes into one dict per config and
-        restores into a fresh bank mid-stream."""
+    def test_bank_checkpoints_are_per_family(self, hourly_kpi):
+        """A fused bank snapshot holds one state per family stream and
+        restores, through JSON, into a fresh bank mid-stream."""
         configs = configs_for(hourly_kpi)
         bank = StreamBank(configs)
         half = len(hourly_kpi) // 2
         for value in hourly_kpi.values[:half]:
             bank.extract_point(value)
-        states = bank.snapshots()
-        assert len(states) == len(configs)
+        states = json.loads(json.dumps(bank.snapshot()))
+        assert len(states) == len(build_family_evaluators(configs))
         assert all(isinstance(state, dict) for state in states)
 
         restored = StreamBank(configs)
@@ -145,6 +158,66 @@ class TestIncrementalEquivalence:
             np.testing.assert_array_equal(
                 restored.extract_point(value), bank.extract_point(value)
             )
+
+    def test_same_phase_families_store_one_ring(self, hourly_kpi):
+        """The seasonal-residual and historical states each hold one
+        ring of raw values, sized for the family's largest window."""
+        configs = configs_for(hourly_kpi)
+        bank = StreamBank(configs)
+        for value in hourly_kpi.values:
+            bank.extract_point(value)
+        evaluators = build_family_evaluators(configs)
+        states = dict(zip((e.kind for e in evaluators), bank.snapshot()))
+        for kind in ("seasonal-residual", "historical"):
+            evaluator = next(e for e in evaluators if e.kind == kind)
+            arrays = {
+                key: value
+                for key, value in states[kind].items()
+                if isinstance(value, dict) and value.get("__kind__") == "ndarray"
+            }
+            assert list(arrays) == ["_ring"], kind
+            largest = max(c.detector.warmup() for c in evaluator.configs)
+            assert len(arrays["_ring"]["values"]) == largest
+
+
+class TestRowKernels:
+    """The nan-aware row kernels against numpy's own reductions."""
+
+    KERNELS = [
+        (row_nanmean, np.nanmean),
+        (row_nanmedian, np.nanmedian),
+        (row_nanstd, np.nanstd),
+    ]
+
+    @pytest.mark.parametrize("kernel,reference", KERNELS, ids=lambda f: f.__name__)
+    def test_equals_numpy_and_one_row_equals_batch_row(self, kernel, reference):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            shape = (int(rng.integers(1, 400)), int(rng.integers(1, 40)))
+            scale = rng.choice([1e-3, 1.0, 1e8], size=shape)
+            matrix = rng.normal(size=shape) * scale
+            matrix[rng.random(shape) < rng.random() * 0.6] = np.nan
+            matrix[rng.random(shape[0]) < 0.1] = np.nan  # all-NaN rows
+            with warnings.catch_warnings():
+                # numpy warns on the all-NaN rows; the kernels must not.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = reference(matrix, axis=1)
+            batch = kernel(matrix)
+            np.testing.assert_array_equal(batch, expected)
+            for i in rng.choice(shape[0], size=min(shape[0], 5), replace=False):
+                np.testing.assert_array_equal(kernel(matrix[i:i + 1]), batch[i:i + 1])
+
+    def test_all_nan_rows_are_nan(self):
+        matrix = np.full((3, 4), np.nan)
+        for kernel, _ in self.KERNELS:
+            assert np.isnan(kernel(matrix)).all()
+
+    def test_mean_of_a_vector_equals_nanmean(self):
+        rng = np.random.default_rng(3)
+        for length in (1, 7, 8, 129, 8193, 50400):
+            values = np.abs(rng.normal(size=length))
+            values[rng.random(length) < 0.1] = np.nan
+            assert row_nanmean(values) == np.nanmean(values)
 
 
 class TestRollingStdOffsets:

@@ -18,13 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import (
-    FeatureExtractor,
-    Opprentice,
-    StreamingDetector,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.core import FeatureExtractor, Opprentice, StreamingDetector
 from repro.detectors import (
     ARIMA,
     CUSUM,
@@ -314,33 +308,6 @@ class TestStreamingDetectorCheckpoint:
         checkpoint["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
             StreamingDetector(opp, checkpoint=checkpoint)
-
-    def test_save_load_round_trip(self, fitted, tmp_path):
-        opp, series, split = fitted
-        tail = series.values[split: split + 60]
-        reference = StreamingDetector(opp, history=series.slice(0, split))
-        reference.push_many(tail[:30])
-        path = tmp_path / "stream.ckpt.json"
-        save_checkpoint(reference, path)
-        expected = reference.push_many(tail[30:])
-
-        resumed = load_checkpoint(path, opp)
-        decisions = resumed.push_many(tail[30:])
-        np.testing.assert_array_equal(
-            np.array([d.score for d in decisions]),
-            np.array([d.score for d in expected]),
-        )
-
-    def test_load_rejects_unknown_envelope_version(self, fitted, tmp_path):
-        opp, series, split = fitted
-        streaming = StreamingDetector(opp, history=series.slice(0, split))
-        path = tmp_path / "stream.ckpt.json"
-        save_checkpoint(streaming, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="checkpoint format"):
-            load_checkpoint(path, opp)
 
     def test_buffered_points_stay_flat(self, fitted):
         opp, series, split = fitted
