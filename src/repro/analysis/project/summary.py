@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Set
 from ..rules.base import ModuleInfo, base_names
 
 #: Bump when the summary schema changes; part of the cache fingerprint.
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 #: Method names that mutate their receiver in place.
 MUTATING_METHODS = {

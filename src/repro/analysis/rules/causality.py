@@ -3,9 +3,11 @@
 The severity of point *t* may use only points ``0..t`` — otherwise the
 batch :meth:`severities` and online :meth:`stream` modes diverge and
 training silently leaks the future into the features. This rule scans
-the ``severities``/``stream`` bodies of every ``Detector`` subclass and
-the ``update`` bodies of every ``SeverityStream`` subclass for the three
-lookahead shapes that have actually bitten detector zoos:
+the ``severities``/``stream`` bodies of every ``Detector`` subclass, the
+``evaluate`` bodies of every ``FamilyEvaluator`` subclass (the fused
+Table 3 math) and the ``update`` bodies of every ``SeverityStream`` and
+``FamilyStream`` subclass for the lookahead shapes that have actually
+bitten detector zoos:
 
 1. **Forward indexing** — ``values[t + 1]`` (any ``name + positive
    int`` subscript index reads a future point relative to the loop
@@ -22,8 +24,9 @@ lookahead shapes that have actually bitten detector zoos:
    anti-causal traversal).
 
 Aggregates are only flagged on names that *directly* alias the full
-series: the ``series`` parameter's ``.values``, ``self._validate(series)``
-results, or ``np.asarray(series.values)``. Anything reached through a
+series: the ``series`` parameter's ``.values``, ``_validate(series)``
+results (``self._validate`` or ``Detector._validate``), or
+``np.asarray(series.values)``. Anything reached through a
 subscript breaks the alias, which keeps legitimate windowed statistics
 (``prefix.mean()``, ``windows[:-1].std(axis=1)``) quiet.
 """
@@ -43,6 +46,7 @@ RULE_ID = "no-lookahead"
 
 #: Method names whose bodies must be causal, per root class.
 DETECTOR_METHODS = {"severities", "stream"}
+EVALUATOR_METHODS = {"evaluate"}
 STREAM_METHODS = {"update"}
 
 #: Aggregate callables/methods that summarise a whole array.
@@ -231,9 +235,10 @@ def scan_class(module: ModuleInfo, cls: ast.ClassDef) -> List[dict]:
     """Candidate lookahead findings for one class, hierarchy-agnostic.
 
     Runs at summary time on *every* class defining a ``severities``/
-    ``stream``/``update`` method. Each candidate records the root class
-    (``Detector`` or ``SeverityStream``) whose subclasses the contract
-    binds; :class:`NoLookaheadRule` keeps only candidates whose class is
+    ``stream``/``evaluate``/``update`` method. Each candidate records
+    the root (``Detector``, ``FamilyEvaluator`` or ``SeverityStream``,
+    which stands for both stream hierarchies) whose subclasses the
+    contract binds; :class:`NoLookaheadRule` keeps only candidates whose class is
     actually in that hierarchy once the cross-module class graph is
     known — so a ``Smoother.severities`` on an unrelated class stays
     quiet without re-parsing anything.
@@ -244,6 +249,10 @@ def scan_class(module: ModuleInfo, cls: ast.ClassDef) -> List[dict]:
             continue
         if item.name in DETECTOR_METHODS:
             candidates.extend(_scan_method(cls, item, module, "Detector"))
+        elif item.name in EVALUATOR_METHODS:
+            candidates.extend(
+                _scan_method(cls, item, module, "FamilyEvaluator")
+            )
         elif item.name in STREAM_METHODS:
             candidates.extend(
                 _scan_method(cls, item, module, "SeverityStream")
@@ -255,15 +264,19 @@ def scan_class(module: ModuleInfo, cls: ast.ClassDef) -> List[dict]:
 class NoLookaheadRule(Rule):
     id = RULE_ID
     description = (
-        "detector severities()/stream() bodies must not read future points "
-        "(forward indexing/slicing, whole-series aggregates, reversal)"
+        "detector severities()/stream(), family evaluate() and stream "
+        "update() bodies must not read future points (forward "
+        "indexing/slicing, whole-series aggregates, reversal)"
     )
     default_severity = Severity.ERROR
 
     def check_summaries(self, index: "ProjectIndex") -> Iterable[Finding]:
         members: Dict[str, Set[str]] = {
             "Detector": index.subclasses_of(["Detector"]),
-            "SeverityStream": index.subclasses_of(["SeverityStream"]),
+            "FamilyEvaluator": index.subclasses_of(["FamilyEvaluator"]),
+            "SeverityStream": index.subclasses_of(
+                ["SeverityStream", "FamilyStream"]
+            ),
         }
         for summary in index.summaries:
             for candidate in summary["causality"]:

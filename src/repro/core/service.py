@@ -704,12 +704,12 @@ class MonitoringService:
     ) -> StreamingDetector:
         """The warm detector streams of a snapshot.
 
-        A version-1 stream checkpoint holds one state per configuration,
-        which the family streams no longer read. Its streams had seen
-        exactly the history and the pending points, so replaying those
-        into fresh streams rebuilds the state they would have restored.
+        An older stream checkpoint (version 1 or 2) holds states the
+        family streams no longer read. Its streams had seen exactly the
+        history and the pending points, so replaying those into fresh
+        streams rebuilds the state they would have restored.
         """
-        if checkpoint.get("format_version") != 1:
+        if checkpoint.get("format_version") not in (1, 2):
             return StreamingDetector(
                 self._opprentice, checkpoint=checkpoint, kpi=history.name
             )

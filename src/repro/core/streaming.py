@@ -25,11 +25,11 @@ from ..timeseries import TimeSeries
 from .opprentice import Opprentice
 
 #: Version tag of the stream-checkpoint dict layout produced by
-#: :meth:`StreamingDetector.snapshot`. Version 2 stores one state per
-#: detector family; version 1 (one state per configuration) is read
-#: only by :meth:`MonitoringService.restore_snapshot`, which rebuilds
-#: the streams by replaying the points they had seen.
-STREAM_CHECKPOINT_VERSION = 2
+#: :meth:`StreamingDetector.snapshot`. Version 3 stores one state per
+#: detector family; versions 1 and 2 (per-config states) are read only
+#: by :meth:`MonitoringService.restore_snapshot`, which rebuilds the
+#: streams by replaying the points they had seen.
+STREAM_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

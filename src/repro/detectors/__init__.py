@@ -11,13 +11,11 @@ from .base import (
     FamilyEvaluator,
     FamilyKey,
     FamilyStream,
-    PerConfigStreams,
     SeverityStream,
     SoloEvaluator,
     StreamBank,
     build_configs,
     build_family_evaluators,
-    phase_view,
     prefix_sums,
     register_family_builder,
     rolling_mean,
@@ -50,7 +48,6 @@ __all__ = [
     "FamilyEvaluator",
     "FamilyKey",
     "FamilyStream",
-    "PerConfigStreams",
     "SoloEvaluator",
     "StreamBank",
     "STREAM_BUFFER_SLACK",
@@ -60,7 +57,6 @@ __all__ = [
     "prefix_sums",
     "rolling_mean",
     "rolling_std",
-    "phase_view",
     "SimpleThreshold",
     "Diff",
     "SimpleMA",

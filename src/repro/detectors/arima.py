@@ -162,12 +162,6 @@ class ARIMA(Detector):
     def warmup(self) -> int:
         return self.fit_points
 
-    def stream_memory(self) -> None:
-        # The order is estimated on the *original* fit_points prefix and
-        # innovations recurse from there; a truncated buffer would refit
-        # a different model entirely.
-        return None
-
     # ------------------------------------------------------------------
     def estimate_order(self, values: np.ndarray) -> ARIMAOrder:
         """Box-Jenkins order and coefficient estimation on a prefix."""

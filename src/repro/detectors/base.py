@@ -25,15 +25,15 @@ points ``0..t``. Points inside a detector's warm-up window (§4.3.2) get
 Configurations of one family (:meth:`Detector.family`) run together: a
 :class:`FamilyEvaluator` computes all their columns in one batch pass
 and its :class:`FamilyStream` advances all of them per point, with one
-checkpoint entry per family. The same-phase families (TSD/TSD MAD and
-historical average/MAD, :class:`SamePhaseEvaluator`) and Holt-Winters
-have one formulation: their streams run the batch kernels on one point,
-so stream == batch holds bit for bit, and the per-detector
-:meth:`Detector.stream` of those detectors is the one-config family
-stream. The nan-aware row kernels (:func:`row_nanmean`,
-:func:`row_nanmedian`, :func:`row_nanstd`) equal numpy's ``nan*``
-reductions bit for bit, cost as little on one row as on many, and
-return NaN for a row with no observed value without warning.
+checkpoint entry per family. Every Table 3 family's stream keeps its
+recent values once (one ring for the family, not one per config), and
+a :class:`FamilyDetector` takes both modes from its family, run over
+that one config. Only solo detectors (:class:`SoloEvaluator`) stream
+through their own :meth:`Detector.stream`. The nan-aware row kernels
+(:func:`row_nanmean`, :func:`row_nanmedian`, :func:`row_nanstd`) equal
+numpy's ``nan*`` reductions bit for bit, cost as little on one row as
+on many, and return NaN for a row with no observed value without
+warning.
 """
 
 from __future__ import annotations
@@ -153,14 +153,18 @@ class _StreamState:
     _snapshot_skip: Tuple[str, ...] = ()
 
     def snapshot(self) -> Dict[str, Any]:
-        """The stream's mutable state as a JSON-serializable dict."""
+        """The stream's mutable state as a JSON-serializable dict; a
+        stream this one drives is stored as its own :meth:`snapshot`."""
         state: Dict[str, Any] = {}
         for key, value in self.__dict__.items():
             if key in self._snapshot_skip:
                 continue
             if isinstance(value, (Detector, FamilyEvaluator)) or callable(value):
                 continue
-            state[key] = _encode_state(value)
+            if isinstance(value, _StreamState):
+                state[key] = value.snapshot()
+            else:
+                state[key] = _encode_state(value)
         return state
 
     def restore(self, state: Mapping[str, Any]):
@@ -172,7 +176,11 @@ class _StreamState:
         not per stream.
         """
         for key, value in state.items():
-            setattr(self, key, _decode_state(value))
+            driven = self.__dict__.get(key)
+            if isinstance(driven, _StreamState):
+                driven.restore(value)
+            else:
+                setattr(self, key, _decode_state(value))
         return self
 
     def buffered_points(self) -> int:
@@ -183,6 +191,8 @@ class _StreamState:
         for value in self.__dict__.values():
             if isinstance(value, (list, deque, np.ndarray)):
                 total += len(value)
+            elif isinstance(value, _StreamState):
+                total += value.buffered_points()
         return total
 
 
@@ -410,19 +420,6 @@ def rolling_std(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def phase_view(values: np.ndarray, period: int) -> np.ndarray:
-    """Reshape a series into an (occurrence, phase) matrix, padding the
-    final partial period with NaN. Used by seasonal detectors that
-    compare each point with the same phase in previous periods."""
-    if period <= 0:
-        raise DetectorError(f"period must be positive, got {period}")
-    n = len(values)
-    n_rows = -(-n // period)
-    padded = np.full(n_rows * period, np.nan)
-    padded[:n] = values
-    return padded.reshape(n_rows, period)
-
-
 #: Least scale floor. A warm-up prefix of near-zero (e.g. subnormal)
 #: magnitude would otherwise give a floor so small that dividing an
 #: ordinary deviation by it overflows to inf.
@@ -545,38 +542,6 @@ class FamilyStream(_StreamState, abc.ABC):
         """Severity of the new point for each config, in family order."""
 
 
-class PerConfigStreams(FamilyStream):
-    """Default family stream: one solo :class:`SeverityStream` per
-    config, advanced in lockstep. Used whenever a family has no fused
-    streaming recurrence; its one checkpoint state holds the members'
-    states."""
-
-    def __init__(self, streams: Sequence[SeverityStream]):
-        self._streams = list(streams)
-
-    def update(self, value: float) -> np.ndarray:
-        return np.array(
-            [stream.update(value) for stream in self._streams],
-            dtype=np.float64,
-        )
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"streams": [stream.snapshot() for stream in self._streams]}
-
-    def restore(self, state: Mapping[str, Any]) -> "PerConfigStreams":
-        states = state["streams"]
-        if len(states) != len(self._streams):
-            raise DetectorError(
-                f"expected {len(self._streams)} stream states, got {len(states)}"
-            )
-        for stream, member in zip(self._streams, states):
-            stream.restore(member)
-        return self
-
-    def buffered_points(self) -> int:
-        return sum(stream.buffered_points() for stream in self._streams)
-
-
 class FamilyMemberStream(SeverityStream):
     """A one-config :class:`FamilyStream` seen as a
     :class:`SeverityStream`: the per-detector stream of a detector whose
@@ -587,16 +552,6 @@ class FamilyMemberStream(SeverityStream):
 
     def update(self, value: float) -> float:
         return float(self._family.update(value)[0])
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self._family.snapshot()
-
-    def restore(self, state: Mapping[str, Any]) -> "FamilyMemberStream":
-        self._family.restore(state)
-        return self
-
-    def buffered_points(self) -> int:
-        return self._family.buffered_points()
 
 
 class FamilyEvaluator(abc.ABC):
@@ -633,12 +588,9 @@ class FamilyEvaluator(abc.ABC):
         order — bit-identical to stacking each config's solo
         :meth:`Detector.severities`."""
 
+    @abc.abstractmethod
     def make_stream(self) -> FamilyStream:
-        """Online streams for the family; the default advances each
-        config's solo stream."""
-        return PerConfigStreams(
-            [config.detector.stream() for config in self.configs]
-        )
+        """The family's online stream, one :meth:`evaluate` row a point."""
 
 
 class SoloEvaluator(FamilyEvaluator):
@@ -651,6 +603,20 @@ class SoloEvaluator(FamilyEvaluator):
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         return self.configs[0].detector.severities(series).reshape(-1, 1)
+
+    def make_stream(self) -> FamilyStream:
+        return _SoloStream(self.configs[0].detector.stream())
+
+
+class _SoloStream(FamilyStream):
+    """A solo config's own :class:`SeverityStream` as a one-member
+    family stream."""
+
+    def __init__(self, stream: SeverityStream):
+        self._stream = stream
+
+    def update(self, value: float) -> np.ndarray:
+        return np.array([self._stream.update(value)], dtype=np.float64)
 
 
 #: Registered family builders: name -> callable(configs) -> evaluator.
@@ -719,18 +685,34 @@ def solo_family(detector: Detector) -> FamilyEvaluator:
     return builder([DetectorConfig(0, detector)])
 
 
+class FamilyDetector(Detector):
+    """A detector whose registered family evaluator is its only
+    formulation: batch severities and the online stream of one config
+    are its family's, run over that config alone, so a solo detector
+    and the fused bank share one copy of the math."""
+
+    @abc.abstractmethod
+    def family(self) -> FamilyKey:
+        """The family key; its builder must be registered."""
+
+    def severities(self, series: TimeSeries) -> np.ndarray:
+        return solo_family(self).evaluate(series)[:, 0]
+
+    def stream(self) -> SeverityStream:
+        return FamilyMemberStream(solo_family(self).make_stream())
+
+
 # ----------------------------------------------------------------------
 # Same-phase families: TSD / TSD MAD and historical average / MAD
 # ----------------------------------------------------------------------
-class SamePhaseDetector(Detector):
+class SamePhaseDetector(FamilyDetector):
     """Scores each point against its *same-phase history*: the values
     ``lag`` points apart over the previous ``n_lags`` periods (the same
     time of week for TSD, the same time of day for historical).
 
-    Subclasses define ``lag``, ``n_lags`` and :meth:`_score_columns`.
-    Batch severities and the stream both run the family's
-    :class:`SamePhaseEvaluator` on this one config, so each mode scores
-    with the same kernel.
+    Subclasses define ``lag``, ``n_lags`` and :meth:`_score_columns`;
+    the family's :class:`SamePhaseEvaluator` scores both modes with the
+    same kernel.
     """
 
     lag: int
@@ -738,12 +720,6 @@ class SamePhaseDetector(Detector):
 
     def warmup(self) -> int:
         return self.n_lags * self.lag
-
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        return solo_family(self).evaluate(series)[:, 0]
-
-    def stream(self) -> SeverityStream:
-        return FamilyMemberStream(solo_family(self).make_stream())
 
     def _prefix_state(self, prefix: np.ndarray) -> Optional[float]:
         """A statistic of the warm-up prefix ``values[:warmup()]`` that

@@ -23,12 +23,13 @@ Opprentice".
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from ..timeseries import TimeSeries
 from .base import Detector, DetectorError, ParamValue, SeverityStream
+from .holt_winters import _HoltWintersBankStream
 
 #: Sampled parameter grid used by ``extended_detectors``.
 BRUTLAG_GRID = (0.3, 0.5, 0.7)
@@ -63,11 +64,6 @@ class Brutlag(Detector):
         # One season to initialise the state + one to seed deviations.
         return 2 * self.season_points
 
-    def stream_memory(self) -> None:
-        # Exponentially smoothed level/trend/seasonals/deviations carry
-        # the whole prefix; no finite replay buffer reproduces them.
-        return None
-
     def severities(self, series: TimeSeries) -> np.ndarray:
         values = self._validate(series)
         stream = self.stream()
@@ -82,69 +78,51 @@ class Brutlag(Detector):
 
 
 class _BrutlagStream(SeverityStream):
-    """Online Holt-Winters + seasonal deviation band."""
+    """Online Holt-Winters + seasonal deviation band.
+
+    A one-config :class:`_HoltWintersBankStream` runs the recurrence
+    and writes each point's ``|v - forecast|``; this stream keeps only
+    the deviation band that residual feeds.
+    """
 
     def __init__(self, alpha: float, beta: float, gamma: float, season: int):
-        self._alpha = alpha
-        self._beta = beta
         self._gamma = gamma
         self._season = season
-        self._init_buffer: list = []
-        self._seasonals: list = []
-        self._deviations: list = []
-        self._level = 0.0
-        self._trend = 0.0
-        self._t = 0
+        self._forecaster = _HoltWintersBankStream(
+            np.array([alpha]), np.array([beta]), np.array([gamma]), season
+        )
+        #: Observed points of the first season (the level's support).
+        self._observed = 0
+        self._deviations: List[float] = []
 
-    def _initialise(self) -> None:
-        finite = [v for v in self._init_buffer if not math.isnan(v)]
-        mean = sum(finite) / len(finite) if finite else 0.0
-        self._level = mean
-        self._trend = 0.0
-        self._seasonals = [
-            (v - mean) if not math.isnan(v) else 0.0 for v in self._init_buffer
-        ]
+    def _seed_band(self) -> None:
         # Seed the deviation band with the mean absolute seasonal
-        # residual of the first season (a neutral, scale-matched start).
+        # residual of the first season (a neutral, scale-matched start);
+        # the missing points' seasonal slots are 0 and add nothing.
+        residuals = np.abs(self._forecaster._seasonals[0])
         spread = (
-            sum(abs(v - mean) for v in finite) / len(finite) if finite else 1.0
+            float(residuals.sum()) / self._observed if self._observed else 1.0
         )
         self._deviations = [max(spread, 1e-12)] * self._season
 
     def update(self, value: float) -> float:
         value = float(value)
         season = self._season
-        if self._t < season:
-            self._init_buffer.append(value)
-            self._t += 1
-            if self._t == season:
-                self._initialise()
+        t = self._forecaster._t
+        residual = np.full(1, np.nan)
+        self._forecaster.advance(value, residual)
+        if t < season:
+            self._observed += math.isfinite(value)
+            if t + 1 == season:
+                self._seed_band()
             return float("nan")
-
-        phase = self._t % season
-        seasonal = self._seasonals[phase]
-        deviation = self._deviations[phase]
-        forecast = self._level + self._trend + seasonal
-        in_warmup = self._t < 2 * season
-        self._t += 1
         if math.isnan(value):
             return float("nan")
-
-        severity = abs(value - forecast) / max(deviation, 1e-12)
-        last_level = self._level
-        self._level = (
-            self._alpha * (value - seasonal)
-            + (1.0 - self._alpha) * (last_level + self._trend)
-        )
-        self._trend = (
-            self._beta * (self._level - last_level)
-            + (1.0 - self._beta) * self._trend
-        )
-        self._seasonals[phase] = (
-            self._gamma * (value - self._level) + (1.0 - self._gamma) * seasonal
-        )
+        phase = t % season
+        deviation = self._deviations[phase]
+        error = float(residual[0])
+        severity = error / max(deviation, 1e-12)
         self._deviations[phase] = (
-            self._gamma * abs(value - forecast)
-            + (1.0 - self._gamma) * deviation
+            self._gamma * error + (1.0 - self._gamma) * deviation
         )
-        return float("nan") if in_warmup else severity
+        return float("nan") if t < 2 * season else severity

@@ -59,12 +59,6 @@ class CUSUM(Detector):
     def warmup(self) -> int:
         return self.window
 
-    def stream_memory(self) -> None:
-        # The cumulative sums accumulate over the whole run and the std
-        # floor is fixed from the original warm-up prefix, so no finite
-        # buffer reproduces the batch severities.
-        return None
-
     def severities(self, series: TimeSeries) -> np.ndarray:
         values = self._validate(series)
         n = len(values)

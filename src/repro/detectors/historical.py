@@ -69,12 +69,6 @@ class _HistoricalBase(SamePhaseDetector):
         # and scale floor (one per window size).
         return ("historical", self.points_per_day)
 
-    def stream_memory(self) -> None:
-        # The scale floor is fixed from the *original* warm-up prefix
-        # (see _scale_floor); a truncated buffer would recompute it from
-        # a different prefix. The family stream carries it instead.
-        return None
-
     def _prefix_state(self, prefix: np.ndarray) -> float:
         return self._scale_floor(prefix)
 

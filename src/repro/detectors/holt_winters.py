@@ -21,7 +21,7 @@ and get NaN severity.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -30,25 +30,23 @@ from .base import (
     Detector,
     DetectorConfig,
     DetectorError,
+    FamilyDetector,
     FamilyEvaluator,
     FamilyKey,
-    FamilyMemberStream,
     FamilyStream,
     ParamValue,
-    SeverityStream,
     register_family_builder,
-    solo_family,
 )
 
 #: Table 3 smoothing-parameter grid.
 HW_GRID = (0.2, 0.4, 0.6, 0.8)
 
 
-class HoltWinters(Detector):
+class HoltWinters(FamilyDetector):
     """Additive Holt-Winters forecaster; severity = |residual|.
 
     Batch and stream both run the family's one recurrence
-    (:class:`_HoltWintersBankStream`) over this one configuration.
+    (:class:`_HoltWintersBankStream`).
     """
 
     kind = "holt-winters"
@@ -72,21 +70,10 @@ class HoltWinters(Detector):
     def warmup(self) -> int:
         return self.season_points
 
-    def family(self) -> Optional[FamilyKey]:
+    def family(self) -> FamilyKey:
         # All configs of one season share the state sweep: one fused
         # time loop emits every (alpha, beta, gamma) combination.
         return ("holt-winters", self.season_points)
-
-    def stream_memory(self) -> None:
-        # Triple exponential smoothing remembers the whole prefix; the
-        # stream's own state is one season of smoothed components.
-        return None
-
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        return solo_family(self).evaluate(series)[:, 0]
-
-    def stream(self) -> SeverityStream:
-        return FamilyMemberStream(solo_family(self).make_stream())
 
 
 def batch_severities(

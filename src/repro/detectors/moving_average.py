@@ -14,16 +14,19 @@ detectors and ``alpha = 0.1, 0.3, 0.5, 0.7, 0.9`` for EWMA.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..timeseries import TimeSeries
 from .base import (
     Detector,
+    DetectorConfig,
     DetectorError,
+    FamilyDetector,
     FamilyEvaluator,
     FamilyKey,
+    FamilyStream,
     ParamValue,
     SeverityStream,
     prefix_sums,
@@ -38,7 +41,7 @@ MA_WINDOWS = (10, 20, 30, 40, 50)
 EWMA_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-class SimpleMA(Detector):
+class SimpleMA(FamilyDetector):
     """Severity = |v[t] - mean(v[t-win : t])|."""
 
     kind = "simple MA"
@@ -54,18 +57,11 @@ class SimpleMA(Detector):
     def warmup(self) -> int:
         return self.window
 
-    def family(self) -> Optional[FamilyKey]:
+    def family(self) -> FamilyKey:
         return ("window-bank", None)
 
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        return np.abs(values - rolling_mean(values, self.window))
 
-    def stream(self) -> SeverityStream:
-        return _WindowStream(self.window, _mean_forecast)
-
-
-class WeightedMA(Detector):
+class WeightedMA(FamilyDetector):
     """Linearly weighted MA: recent points weigh more.
 
     The forecast is ``sum(w_i * v[t-win+i]) / sum(w_i)`` with weights
@@ -87,30 +83,11 @@ class WeightedMA(Detector):
     def warmup(self) -> int:
         return self.window
 
-    def family(self) -> Optional[FamilyKey]:
+    def family(self) -> FamilyKey:
         return ("window-bank", None)
 
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        n = len(values)
-        out = np.full(n, np.nan)
-        if n <= self.window:
-            return out
-        # Forecast for t is the weighted sum of the window ending at t-1.
-        forecast = np.convolve(values, self._weights[::-1], mode="valid")
-        out[self.window:] = np.abs(values[self.window:] - forecast[:-1])
-        return out
 
-    def stream(self) -> SeverityStream:
-        weights = self._weights
-
-        def forecast(window_values: np.ndarray) -> float:
-            return float(np.dot(window_values, weights))
-
-        return _WindowStream(self.window, forecast)
-
-
-class MAOfDiff(Detector):
+class MAOfDiff(FamilyDetector):
     """Moving average of one-slot absolute differences — the search
     engine's detector for continuous jitters (§5.2). Severity at t is
     the mean of ``|v[i] - v[i-1]|`` over the ``win`` differences ending
@@ -129,25 +106,8 @@ class MAOfDiff(Detector):
     def warmup(self) -> int:
         return self.window
 
-    def family(self) -> Optional[FamilyKey]:
+    def family(self) -> FamilyKey:
         return ("window-bank", None)
-
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        n = len(values)
-        out = np.full(n, np.nan)
-        if n <= self.window:
-            return out
-        diffs = np.abs(np.diff(values))
-        # Mean of the `window` diffs ending at index t (diff t-1 -> t).
-        # Sliding windows (not cumulative sums) so a missing point only
-        # invalidates the windows containing it.
-        windows = np.lib.stride_tricks.sliding_window_view(diffs, self.window)
-        out[self.window:] = windows.mean(axis=1)
-        return out
-
-    def stream(self) -> SeverityStream:
-        return _MAOfDiffStream(self.window)
 
 
 class EWMA(Detector):
@@ -170,11 +130,6 @@ class EWMA(Detector):
 
     def warmup(self) -> int:
         return 1
-
-    def stream_memory(self) -> None:
-        # The exponential recursion remembers the whole prefix; no
-        # finite buffer reproduces it (the stream is O(1) regardless).
-        return None
 
     def severities(self, series: TimeSeries) -> np.ndarray:
         values = self._validate(series)
@@ -226,6 +181,10 @@ class EWMA(Detector):
 # ----------------------------------------------------------------------
 # Fused family evaluation
 # ----------------------------------------------------------------------
+#: The detectors a window bank evaluates.
+_WINDOW_MEMBERS = (SimpleThreshold, SimpleMA, WeightedMA, MAOfDiff)
+
+
 @register_family_builder("window-bank")
 class WindowBankEvaluator(FamilyEvaluator):
     """Fused pass over the trailing-window prediction detectors (plus
@@ -233,84 +192,103 @@ class WindowBankEvaluator(FamilyEvaluator):
 
     The clean-data prefix-sum array is computed once and shared by
     every simple-MA window size; the one-slot absolute differences are
-    computed once and shared by every MA-of-diff window. Each column is
-    bit-identical to the solo detector: the same :func:`rolling_mean`
-    branch runs with the same cumulative sums, and the MA-of-diff
-    sliding windows see the same ``diffs`` array.
+    computed once and shared by every MA-of-diff window. Weighted MA
+    forecasts point ``t`` with the weighted sum of the window ending at
+    ``t - 1``. A missing point invalidates only the windows containing
+    it: MA of diff uses sliding windows, not cumulative sums.
     """
 
     kind = "window-bank"
+
+    def __init__(self, configs: Sequence[DetectorConfig]):
+        super().__init__(configs)
+        for config in self.configs:
+            if not isinstance(config.detector, _WINDOW_MEMBERS):
+                raise DetectorError(
+                    f"the window bank cannot evaluate {config.name}"
+                )
+        #: Largest trailing window of the family (0: threshold only).
+        self.span = max(
+            getattr(config.detector, "window", 0) for config in self.configs
+        )
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
         n = len(values)
         out = np.full((n, len(self.configs)), np.nan)
-        clean = bool(np.isfinite(values).all())
-        shared_cumsum = prefix_sums(values) if clean else None
+        cumsum = prefix_sums(values) if np.isfinite(values).all() else None
         diffs: Optional[np.ndarray] = None
         for j, config in enumerate(self.configs):
             detector = config.detector
-            if isinstance(detector, SimpleMA):
+            if isinstance(detector, SimpleThreshold):
+                out[:, j] = values
+            elif isinstance(detector, SimpleMA):
                 out[:, j] = np.abs(
                     values
-                    - rolling_mean(values, detector.window, cumsum=shared_cumsum)
+                    - rolling_mean(values, detector.window, cumsum=cumsum)
                 )
-            elif isinstance(detector, MAOfDiff):
-                if n > detector.window:
-                    if diffs is None:
-                        diffs = np.abs(np.diff(values))
-                    windows = np.lib.stride_tricks.sliding_window_view(
-                        diffs, detector.window
-                    )
-                    out[detector.window:, j] = windows.mean(axis=1)
-            elif isinstance(detector, SimpleThreshold):
-                out[:, j] = values
+            elif n <= detector.window:
+                continue
+            elif isinstance(detector, WeightedMA):
+                forecast = np.convolve(
+                    values, detector._weights[::-1], mode="valid"
+                )
+                out[detector.window:, j] = np.abs(
+                    values[detector.window:] - forecast[:-1]
+                )
             else:
-                out[:, j] = detector.severities(series)
+                if diffs is None:
+                    diffs = np.abs(np.diff(values))
+                windows = np.lib.stride_tricks.sliding_window_view(
+                    diffs, detector.window
+                )
+                out[detector.window:, j] = windows.mean(axis=1)
         return out
+
+    def make_stream(self) -> FamilyStream:
+        return _WindowBankStream(self)
+
+
+class _WindowBankStream(FamilyStream):
+    """Online counterpart of :class:`WindowBankEvaluator`: one ring of
+    the last ``span + 1`` raw values serves every config. Each point
+    reads the ring once; each config reduces its own contiguous tail
+    (the previous ``win`` values, or the ``win`` newest one-slot
+    differences)."""
+
+    def __init__(self, evaluator: WindowBankEvaluator):
+        self._evaluator = evaluator
+        self._ring: deque = deque(maxlen=evaluator.span + 1)
+
+    def update(self, value: float) -> np.ndarray:
+        value = float(value)
+        self._ring.append(value)
+        recent = np.asarray(self._ring)
+        previous = recent[:-1]
+        diffs: Optional[np.ndarray] = None
+        out = []
+        for config in self._evaluator.configs:
+            detector = config.detector
+            window = getattr(detector, "window", 0)
+            if len(previous) < window:
+                out.append(float("nan"))
+            elif isinstance(detector, SimpleThreshold):
+                out.append(value)
+            elif isinstance(detector, SimpleMA):
+                out.append(abs(value - float(previous[-window:].mean())))
+            elif isinstance(detector, WeightedMA):
+                forecast = float(np.dot(previous[-window:], detector._weights))
+                out.append(abs(value - forecast))
+            else:
+                if diffs is None:
+                    diffs = np.abs(np.diff(recent))
+                out.append(float(diffs[-window:].mean()))
+        return np.array(out)
 
 
 # ----------------------------------------------------------------------
 # Streams
 # ----------------------------------------------------------------------
-def _mean_forecast(window_values: np.ndarray) -> float:
-    return float(window_values.mean())
-
-
-class _WindowStream(SeverityStream):
-    """Stream for forecast-from-trailing-window detectors."""
-
-    def __init__(self, window: int, forecast):
-        self._window = window
-        self._history: deque = deque(maxlen=window)
-        self._forecast = forecast
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        if len(self._history) < self._window:
-            self._history.append(value)
-            return float("nan")
-        severity = abs(value - self._forecast(np.asarray(self._history)))
-        self._history.append(value)
-        return severity
-
-
-class _MAOfDiffStream(SeverityStream):
-    def __init__(self, window: int):
-        self._window = window
-        self._diffs: deque = deque(maxlen=window)
-        self._last: float | None = None
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        if self._last is not None:
-            self._diffs.append(abs(value - self._last))
-        self._last = value
-        if len(self._diffs) < self._window:
-            return float("nan")
-        return float(np.mean(self._diffs))
-
-
 class _EWMAStream(SeverityStream):
     def __init__(self, alpha: float):
         self._alpha = alpha

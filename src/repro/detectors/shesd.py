@@ -65,11 +65,6 @@ class SHESD(Detector):
         # One window of weeks for the baseline + one for the residual MAD.
         return 2 * self.window_weeks * self.points_per_week
 
-    def stream_memory(self) -> None:
-        # The MAD floor is fixed from the original warm-up prefix; a
-        # truncated buffer would recompute it from a different prefix.
-        return None
-
     def _residuals(self, values: np.ndarray) -> np.ndarray:
         """Residual from the same-phase median baseline (NaN during the
         baseline warm-up)."""

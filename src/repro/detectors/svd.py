@@ -21,7 +21,16 @@ from typing import Dict
 import numpy as np
 
 from ..timeseries import TimeSeries
-from .base import Detector, DetectorError, ParamValue, SeverityStream
+from .base import (
+    Detector,
+    DetectorError,
+    FamilyDetector,
+    FamilyEvaluator,
+    FamilyKey,
+    FamilyStream,
+    ParamValue,
+    register_family_builder,
+)
 
 #: Table 3 grids.
 SVD_ROWS = (10, 20, 30, 40, 50)
@@ -50,7 +59,7 @@ def _rank1_residuals(matrices: np.ndarray) -> np.ndarray:
     return np.abs(matrices[:, -1, -1] - approx)
 
 
-class SVDDetector(Detector):
+class SVDDetector(FamilyDetector):
     """Severity = |current value - its rank-1 SVD reconstruction|."""
 
     kind = "svd"
@@ -69,8 +78,13 @@ class SVDDetector(Detector):
     def warmup(self) -> int:
         return self.row * self.column - 1
 
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
+    def family(self) -> FamilyKey:
+        # Every (row, column) config reads the same trailing values.
+        return ("svd", None)
+
+    def _column(self, values: np.ndarray) -> np.ndarray:
+        """Severities over a whole series: the rank-1 residual of every
+        all-finite trailing window, in one batched kernel call."""
         n = len(values)
         span = self.row * self.column
         out = np.full(n, np.nan)
@@ -90,9 +104,6 @@ class SVDDetector(Detector):
                 return self._severities_slow(values)
         return out
 
-    def stream(self) -> SeverityStream:
-        return _SVDStream(self.row, self.column)
-
     def _severities_slow(self, values: np.ndarray) -> np.ndarray:
         """Per-window fallback used if the batched eigh fails to converge."""
         n = len(values)
@@ -110,27 +121,51 @@ class SVDDetector(Detector):
         return out
 
 
-class _SVDStream(SeverityStream):
-    """One small SVD per point over the trailing row*column window —
-    exactly the §6 property that SVD "can generate anomaly features
-    only using recent data"."""
+@register_family_builder("svd")
+class SVDBankEvaluator(FamilyEvaluator):
+    """The SVD grid: each config's windows run the batched kernel on
+    their own (the window shapes differ), over one validated series."""
 
-    def __init__(self, row: int, column: int):
-        self._row = row
-        self._column = column
-        self._window: deque = deque(maxlen=row * column)
+    kind = "svd"
 
-    def update(self, value: float) -> float:
-        self._window.append(float(value))
-        if len(self._window) < self._window.maxlen:
-            return float("nan")
-        window = np.asarray(self._window)
-        if not np.isfinite(window).all():
-            return float("nan")
-        matrix = window.reshape(self._column, self._row)
-        try:
-            # Same Gram-eigh kernel as the batch mode (one-matrix
-            # stack), so stream and batch stay bit-identical.
-            return float(_rank1_residuals(matrix[np.newaxis])[0])
-        except np.linalg.LinAlgError:
-            return float("nan")
+    def evaluate(self, series: TimeSeries) -> np.ndarray:
+        values = Detector._validate(series)
+        out = np.full((len(values), len(self.configs)), np.nan)
+        for j, config in enumerate(self.configs):
+            out[:, j] = config.detector._column(values)
+        return out
+
+    def make_stream(self) -> FamilyStream:
+        return _SVDBankStream(self)
+
+
+class _SVDBankStream(FamilyStream):
+    """One ring of the largest window serves every config — the §6
+    property that SVD "can generate anomaly features only using recent
+    data". Each config runs the batch kernel on its own contiguous tail,
+    so stream and batch stay bit-identical."""
+
+    def __init__(self, evaluator: SVDBankEvaluator):
+        self._evaluator = evaluator
+        largest = max(c.detector.warmup() for c in evaluator.configs) + 1
+        self._ring: deque = deque(maxlen=largest)
+
+    def update(self, value: float) -> np.ndarray:
+        self._ring.append(float(value))
+        recent = np.asarray(self._ring)
+        # Trailing values after the newest non-finite one.
+        bad = np.flatnonzero(~np.isfinite(recent))
+        clean = len(recent) - 1 - bad[-1] if len(bad) else len(recent)
+        configs = self._evaluator.configs
+        out = np.full(len(configs), np.nan)
+        for j, config in enumerate(configs):
+            detector = config.detector
+            span = detector.row * detector.column
+            if clean < span:
+                continue
+            matrix = recent[-span:].reshape(detector.column, detector.row)
+            try:
+                out[j] = _rank1_residuals(matrix[np.newaxis])[0]
+            except np.linalg.LinAlgError:
+                continue
+        return out

@@ -13,15 +13,12 @@ for the strongly seasonal PV.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-import numpy as np
-
-from ..timeseries import TimeSeries
-from .base import Detector, FamilyKey, ParamValue, SeverityStream
+from .base import FamilyDetector, FamilyKey, ParamValue
 
 
-class SimpleThreshold(Detector):
+class SimpleThreshold(FamilyDetector):
     """Severity = the raw KPI value."""
 
     kind = "simple threshold"
@@ -32,18 +29,7 @@ class SimpleThreshold(Detector):
     def warmup(self) -> int:
         return 0
 
-    def family(self) -> Optional[FamilyKey]:
+    def family(self) -> FamilyKey:
         # Rides in the moving-average window bank: its severity column
         # is the raw series, free once that pass has validated it.
         return ("window-bank", None)
-
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        return self._validate(series).copy()
-
-    def stream(self) -> SeverityStream:
-        return _ThresholdStream()
-
-
-class _ThresholdStream(SeverityStream):
-    def update(self, value: float) -> float:
-        return float(value)

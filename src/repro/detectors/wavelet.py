@@ -21,7 +21,7 @@ configurations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +30,11 @@ from .base import (
     Detector,
     DetectorConfig,
     DetectorError,
+    FamilyDetector,
     FamilyEvaluator,
     FamilyKey,
+    FamilyStream,
     ParamValue,
-    SeverityStream,
     register_family_builder,
     rolling_std,
     scale_floor,
@@ -47,7 +48,7 @@ WAVELET_BANDS = ("high", "mid", "low")
 BAND_SCALES = {"high": 2, "mid": 8, "low": 32}
 
 
-class WaveletDetector(Detector):
+class WaveletDetector(FamilyDetector):
     """Severity = |Haar detail| / rolling std of the detail signal."""
 
     kind = "wavelet"
@@ -72,12 +73,7 @@ class WaveletDetector(Detector):
         return {"win": f"{self.window_days}d", "freq": self.band}
 
     def warmup(self) -> int:
-        return 2 * self.scale + self.window_days * self.points_per_day
-
-    def stream_memory(self) -> None:
-        # The detail-scale floor is fixed from the original warm-up
-        # prefix; a truncated buffer would recompute it differently.
-        return None
+        return 2 * self.scale + self.norm_window
 
     def _details(self, values: np.ndarray) -> np.ndarray:
         """Causal Haar detail: mean(last s) - mean(previous s).
@@ -95,14 +91,14 @@ class WaveletDetector(Detector):
         details[2 * s - 1:] = means[s:] - means[: n - 2 * s + 1]
         return details
 
-    def family(self) -> Optional[FamilyKey]:
+    @property
+    def norm_window(self) -> int:
+        """Points of the detail signal the scale is taken over."""
+        return self.window_days * self.points_per_day
+
+    def family(self) -> FamilyKey:
         # All windows of one grid share the per-band detail signals.
         return ("wavelet", self.points_per_day)
-
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        details = self._details(values)
-        return self._column(values, details, np.nan_to_num(details, nan=0.0))
 
     def _column(
         self,
@@ -117,8 +113,7 @@ class WaveletDetector(Detector):
         start = self.warmup()
         if n <= start:
             return out
-        norm_window = self.window_days * self.points_per_day
-        scale = rolling_std(nan_details, norm_window)
+        scale = rolling_std(nan_details, self.norm_window)
         # Floor from the warm-up prefix only, so severities stay causal.
         prefix = details[: start]
         prefix_finite = prefix[np.isfinite(prefix)]
@@ -129,9 +124,6 @@ class WaveletDetector(Detector):
             out[start:] = np.abs(details[start:]) / np.maximum(scale[start:], floor)
         return out
 
-    def stream(self) -> SeverityStream:
-        return _WaveletStream(self)
-
 
 @register_family_builder("wavelet")
 class WaveletBankEvaluator(FamilyEvaluator):
@@ -141,74 +133,91 @@ class WaveletBankEvaluator(FamilyEvaluator):
 
     kind = "wavelet"
 
-    def __init__(self, configs):
+    def __init__(self, configs: Sequence[DetectorConfig]):
         super().__init__(configs)
         grids = {config.detector.points_per_day for config in self.configs}
         if len(grids) != 1:
             raise DetectorError(
                 f"wavelet family spans several day grids: {sorted(grids)}"
             )
+        by_band: Dict[str, List[int]] = {}
+        for j, config in enumerate(self.configs):
+            by_band.setdefault(config.detector.band, []).append(j)
+        #: ``(Haar scale, family columns)`` per band, by band name.
+        self.bands: List[Tuple[int, List[int]]] = [
+            (BAND_SCALES[band], columns)
+            for band, columns in sorted(by_band.items())
+        ]
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
         out = np.full((len(values), len(self.configs)), np.nan)
-        by_band: Dict[str, List[Tuple[int, DetectorConfig]]] = {}
-        for j, config in enumerate(self.configs):
-            by_band.setdefault(config.detector.band, []).append((j, config))
-        for _, items in sorted(by_band.items()):
-            details = items[0][1].detector._details(values)
+        for _, columns in self.bands:
+            details = self.configs[columns[0]].detector._details(values)
             nan_details = np.nan_to_num(details, nan=0.0)
-            for j, config in items:
-                out[:, j] = config.detector._column(
+            for j in columns:
+                out[:, j] = self.configs[j].detector._column(
                     values, details, nan_details
                 )
         return out
 
+    def make_stream(self) -> FamilyStream:
+        return _WaveletBankStream(self)
 
-class _WaveletStream(SeverityStream):
-    """Online Haar details with a rolling normalisation window,
-    point-for-point equal to the batch mode."""
 
-    def __init__(self, detector: WaveletDetector):
-        self._detector = detector
-        self._values: deque = deque(maxlen=2 * detector.scale)
-        norm_window = detector.window_days * detector.points_per_day
-        self._details: deque = deque(maxlen=norm_window)
+class _WaveletBankStream(FamilyStream):
+    """Online Haar details with rolling normalisation windows, equal to
+    the batch mode bit for bit.
+
+    One ring of raw values gives each band's detail once per point; each
+    band keeps one ring of its NaN-zeroed details (the rolling-std
+    input), as long as its longest window, and each config takes the std
+    of its own tail. A config's scale floor is frozen when its warm-up
+    ends, from its band's running sum of observed warm-up |detail|.
+    """
+
+    def __init__(self, evaluator: WaveletBankEvaluator):
+        self._evaluator = evaluator
+        configs = evaluator.configs
+        largest = max(scale for scale, _ in evaluator.bands)
+        self._values: deque = deque(maxlen=2 * largest)
+        self._details: List[deque] = [
+            deque(maxlen=max(configs[j].detector.norm_window for j in columns))
+            for _, columns in evaluator.bands
+        ]
         self._count = 0
-        self._floor_sum = 0.0
-        self._floor_n = 0
-        self._floor: float | None = None
+        #: Running ``[sum, count]`` of observed warm-up |detail| per band.
+        self._floor_stats = [[0.0, 0] for _ in evaluator.bands]
+        #: Scale floor per config, set once its warm-up ends.
+        self._floors: List[Optional[float]] = [None] * len(configs)
 
-    def _detail(self) -> float:
-        if len(self._values) < self._values.maxlen:
-            return float("nan")
-        window = np.asarray(self._values)
-        s = self._detector.scale
-        return float(window[s:].mean() - window[:s].mean())
-
-    def update(self, value: float) -> float:
-        detector = self._detector
-        start = detector.warmup()
+    def update(self, value: float) -> np.ndarray:
+        configs = self._evaluator.configs
         self._values.append(float(value))
-        detail = self._detail()
-
-        severity = float("nan")
-        if self._count >= start:
-            if self._floor is None:
-                self._floor = scale_floor(
-                    self._floor_sum / self._floor_n if self._floor_n else 0.0
-                )
-            scale = float(np.std(np.asarray(self._details)))
-            with np.errstate(invalid="ignore"):
-                severity = abs(detail) / max(scale, self._floor)
-        elif np.isfinite(detail):
-            # Warm-up: accumulate the floor statistic (batch:
-            # nanmean(|details[:warmup]|)).
-            self._floor_sum += abs(detail)
-            self._floor_n += 1
-
-        # The normalisation window stores nan_to_num(detail), matching
-        # the batch rolling_std input, and excludes the current detail.
-        self._details.append(0.0 if np.isnan(detail) else detail)
+        recent = np.asarray(self._values)
+        out = np.full(len(configs), np.nan)
+        bands = zip(self._evaluator.bands, self._details, self._floor_stats)
+        for (s, columns), ring, stats in bands:
+            window = recent[-2 * s:]
+            detail = float("nan")
+            if len(window) == 2 * s:
+                detail = float(window[s:].mean() - window[:s].mean())
+            history = np.asarray(ring)  # excludes the current detail
+            warming = False
+            for j in columns:
+                detector = configs[j].detector
+                if self._count < detector.warmup():
+                    warming = True
+                    continue
+                if self._floors[j] is None:
+                    total, n = stats
+                    self._floors[j] = scale_floor(total / n if n else 0.0)
+                scale = float(np.std(history[-detector.norm_window:]))
+                with np.errstate(invalid="ignore"):
+                    out[j] = abs(detail) / max(scale, self._floors[j])
+            if warming and np.isfinite(detail):
+                stats[0] += abs(detail)
+                stats[1] += 1
+            ring.append(0.0 if np.isnan(detail) else detail)
         self._count += 1
-        return severity
+        return out

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -346,6 +347,8 @@ class IngestPlane:
             raise _HttpError(
                 400, f"point for {kpi!r} needs a numeric 'value'"
             ) from error
+        if math.isinf(value):  # NaN is the §6 missing point; inf is no value
+            raise _HttpError(400, f"point for {kpi!r} has an infinite 'value'")
         shard = self.supervisor.shard_for(kpi)
         return kpi, value, -1 if shard is None else shard
 

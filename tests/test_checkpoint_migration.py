@@ -1,17 +1,21 @@
-"""Version-1 stream checkpoints restore by replay.
+"""Version-1 and version-2 stream checkpoints restore by replay.
 
-Stream checkpoints store one state per detector family (version 2).
-``tests/data/stream_checkpoint_v1`` holds a ``(model.json,
-service.json)`` pair written by the version-1 code, whose stream
-checkpoint held one state per configuration: the ``small_bank``
-service of ``test_service_checkpoint.py``'s deployment, bootstrapped on
-three weeks and fed ten live points, with an alert run open at the cut.
-The pair was made with ``save_model`` and ``save_service_checkpoint``.
+Stream checkpoints store one state per detector family, every Table 3
+family included (version 3). ``tests/data/stream_checkpoint_v1`` and
+``tests/data/stream_checkpoint_v2`` each hold a ``(model.json,
+service.json)`` pair written by the code of that version: the
+``small_bank`` service of ``test_service_checkpoint.py``'s deployment,
+bootstrapped on three weeks and fed ten live points, with an alert run
+open at the cut. The pairs were made with ``save_model`` and
+``save_service_checkpoint``. A version-1 stream checkpoint held one
+state per configuration; a version-2 one held one state per family but
+per-config states inside the window bank (and SVD and wavelet, which
+``small_bank`` does not use).
 
 ``MonitoringService.restore_snapshot`` rebuilds the streams of such a
 checkpoint by replaying the history and pending points they had seen;
 the restored service must then reach the same decisions as a twin that
-never stopped.
+never stopped. Each check runs on both pairs.
 """
 
 import json
@@ -20,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import (
+    STREAM_CHECKPOINT_VERSION,
     MonitoringService,
     StreamingDetector,
     load_model,
@@ -29,7 +34,12 @@ from repro.data import SeasonalProfile, generate_kpi, inject_anomalies
 
 from test_opprentice import fast_forest, small_bank
 
-V1_PAIR = Path(__file__).parent / "data" / "stream_checkpoint_v1"
+DATA = Path(__file__).parent / "data"
+
+
+def pair(version: int) -> Path:
+    return DATA / f"stream_checkpoint_v{version}"
+
 
 #: Live points the version-1 service had ingested after its bootstrap.
 LIVE_AT_CUT = 10
@@ -59,18 +69,26 @@ def make_service(series):
     )
 
 
-def v1_snapshot():
-    return json.loads((V1_PAIR / "service.json").read_text())["snapshot"]
+def old_snapshot(version: int):
+    return json.loads((pair(version) / "service.json").read_text())["snapshot"]
 
 
 def test_fixture_is_a_version_1_stream_checkpoint():
-    stream = v1_snapshot()["stream"]
+    stream = old_snapshot(1)["stream"]
     assert stream["format_version"] == 1
     # One state per configuration, not per family.
     assert len(stream["streams"]) == len(stream["feature_names"])
 
 
-def test_v1_pair_resumes_like_an_undisturbed_twin(deployment):
+def test_fixture_is_a_version_2_stream_checkpoint():
+    stream = old_snapshot(2)["stream"]
+    assert stream["format_version"] == 2
+    # One state per family; the window bank's holds per-config states.
+    assert len(stream["streams"]) < len(stream["feature_names"])
+    assert len(stream["streams"][0]["streams"]) == 3
+
+
+def resumes_like_an_undisturbed_twin(version, deployment):
     series, split = deployment
     cut = split + LIVE_AT_CUT
     twin = make_service(series)
@@ -79,8 +97,8 @@ def test_v1_pair_resumes_like_an_undisturbed_twin(deployment):
         twin.ingest(float(value))
 
     restored = make_service(series)
-    load_model(V1_PAIR / "model.json", opprentice=restored.opprentice)
-    load_service_checkpoint(V1_PAIR / "service.json", restored)
+    load_model(pair(version) / "model.json", opprentice=restored.opprentice)
+    load_service_checkpoint(pair(version) / "service.json", restored)
     assert restored.cthld == twin.cthld
     assert restored._run_begin == twin._run_begin is not None
     assert restored._streaming.points_seen == cut
@@ -94,23 +112,50 @@ def test_v1_pair_resumes_like_an_undisturbed_twin(deployment):
     assert restored.stats.as_dict() == twin.stats.as_dict()
     after = restored.snapshot()["pending"]["scores"][LIVE_AT_CUT:]
     assert after == twin.snapshot()["pending"]["scores"][LIVE_AT_CUT:]
-    assert restored.snapshot()["stream"]["format_version"] == 2
+    written = restored.snapshot()["stream"]["format_version"]
+    assert written == STREAM_CHECKPOINT_VERSION == 3
+
+
+def test_v1_pair_resumes_like_an_undisturbed_twin(deployment):
+    resumes_like_an_undisturbed_twin(1, deployment)
+
+
+def test_v2_pair_resumes_like_an_undisturbed_twin(deployment):
+    resumes_like_an_undisturbed_twin(2, deployment)
+
+
+def rejected_by_the_streaming_detector(version, deployment):
+    series, _ = deployment
+    service = make_service(series)
+    load_model(pair(version) / "model.json", opprentice=service.opprentice)
+    service.opprentice.extractor.configs(series)
+    with pytest.raises(ValueError, match=f"version {version}"):
+        StreamingDetector(
+            service.opprentice, checkpoint=old_snapshot(version)["stream"]
+        )
 
 
 def test_streaming_detector_rejects_version_1(deployment):
-    series, _ = deployment
-    service = make_service(series)
-    load_model(V1_PAIR / "model.json", opprentice=service.opprentice)
-    service.opprentice.extractor.configs(series)
-    with pytest.raises(ValueError, match="version 1"):
-        StreamingDetector(service.opprentice, checkpoint=v1_snapshot()["stream"])
+    rejected_by_the_streaming_detector(1, deployment)
 
 
-def test_v1_replay_checks_the_bank(deployment):
+def test_streaming_detector_rejects_version_2(deployment):
+    rejected_by_the_streaming_detector(2, deployment)
+
+
+def replay_checks_the_bank(version, deployment):
     series, _ = deployment
     service = make_service(series)
-    load_model(V1_PAIR / "model.json", opprentice=service.opprentice)
-    snapshot = v1_snapshot()
+    load_model(pair(version) / "model.json", opprentice=service.opprentice)
+    snapshot = old_snapshot(version)
     snapshot["stream"]["feature_names"].reverse()
     with pytest.raises(ValueError, match="bank mismatch"):
         service.restore_snapshot(snapshot)
+
+
+def test_v1_replay_checks_the_bank(deployment):
+    replay_checks_the_bank(1, deployment)
+
+
+def test_v2_replay_checks_the_bank(deployment):
+    replay_checks_the_bank(2, deployment)

@@ -11,14 +11,17 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
   families whose stream runs the batch kernel (seasonal-residual,
   historical, Holt-Winters, SVD), documented-ULP-close (<= 1e-9) for
   the window bank and wavelet — see docs/performance.md;
-* a bank checkpoint holds one state per family, and a same-phase
-  family's state holds one ring of raw values;
+* the full bank's stream rows are pinned by digest, clean and dirty;
+* a bank checkpoint holds one state per family, and every family whose
+  state keeps raw values (seasonal-residual, historical, the window
+  bank, SVD and wavelet) holds one ring of them;
 * the nan-aware row kernels equal numpy's ``nan*`` reductions bit for
   bit, and a one-row call equals the row of a many-row call;
 * ``rolling_std`` survives large offsets (the catastrophic-cancellation
   fix), agreeing with the strided fallback up to 1e9.
 """
 
+import hashlib
 import json
 import warnings
 
@@ -34,8 +37,9 @@ from repro.detectors import (
 from repro.detectors.base import row_nanmean, row_nanmedian, row_nanstd
 from repro.timeseries import TimeSeries
 
-#: Families whose per-point stream runs the same fused kernel as the
-#: batch pass — stream == batch must hold exactly, not just closely.
+#: Families (family keys) whose per-point stream runs the same fused
+#: kernel as the batch pass — stream == batch must hold exactly, not
+#: just closely.
 EXACT_STREAM_FAMILIES = {"holt-winters", "svd", "seasonal-residual", "historical"}
 
 #: The window bank and wavelet streams are causal recurrences, while
@@ -45,6 +49,13 @@ EXACT_STREAM_FAMILIES = {"holt-winters", "svd", "seasonal-residual", "historical
 #: causal stream can match those bit for bit without changing the batch
 #: numbers, so the two agree to accumulated float64 rounding.
 STREAM_ATOL = 1e-9
+
+#: sha256 of the full bank's ``StreamBank`` rows over ``hourly_kpi``,
+#: clean and :func:`dirty` (NaN cells canonicalised).
+STREAM_ROWS_SHA256 = {
+    "clean": "e0259c70676f19ea66e2bd2976f8cde0b48b63f26191d559f107fc0e77508fea",
+    "dirty": "c787cb4031f32ad8410ff2c22c447c4f8ebc90ce5c8ec98718c1e60fc1983741",
+}
 
 
 def dirty(series: TimeSeries) -> TimeSeries:
@@ -140,6 +151,23 @@ class TestIncrementalEquivalence:
                     err_msg=f"stream != batch for shared-kernel {config.name}",
                 )
 
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda s: s, STREAM_ROWS_SHA256["clean"]),
+            (dirty, STREAM_ROWS_SHA256["dirty"]),
+        ],
+        ids=["clean", "dirty"],
+    )
+    def test_stream_rows_digest_is_pinned(self, hourly_kpi, make, expected):
+        """The full bank's stream rows are pinned bit for bit, so a
+        change to how a family streams cannot move a single severity."""
+        series = make(hourly_kpi)
+        bank = StreamBank(configs_for(series))
+        rows = np.vstack([bank.extract_point(v) for v in series.values])
+        canonical = np.where(np.isnan(rows), np.nan, rows)
+        assert hashlib.sha256(canonical.tobytes()).hexdigest() == expected
+
     def test_bank_checkpoints_are_per_family(self, hourly_kpi):
         """A fused bank snapshot holds one state per family stream and
         restores, through JSON, into a fresh bank mid-stream."""
@@ -160,24 +188,47 @@ class TestIncrementalEquivalence:
             )
 
     def test_same_phase_families_store_one_ring(self, hourly_kpi):
-        """The seasonal-residual and historical states each hold one
-        ring of raw values, sized for the family's largest window."""
+        """Every family whose state keeps raw values holds one ring of
+        them, sized for the family's largest window: seasonal-residual,
+        historical, the window bank and SVD. Wavelet's raw ring spans
+        two of its largest Haar scale, and it keeps one ring of details
+        per band, sized for the band's longest normalisation window."""
         configs = configs_for(hourly_kpi)
         bank = StreamBank(configs)
         for value in hourly_kpi.values:
             bank.extract_point(value)
         evaluators = build_family_evaluators(configs)
         states = dict(zip((e.kind for e in evaluators), bank.snapshot()))
-        for kind in ("seasonal-residual", "historical"):
-            evaluator = next(e for e in evaluators if e.kind == kind)
-            arrays = {
-                key: value
+
+        def rings(kind):
+            return {
+                key: len(value["values"])
                 for key, value in states[kind].items()
-                if isinstance(value, dict) and value.get("__kind__") == "ndarray"
+                if isinstance(value, dict)
+                and value.get("__kind__") in ("ndarray", "deque")
             }
-            assert list(arrays) == ["_ring"], kind
-            largest = max(c.detector.warmup() for c in evaluator.configs)
-            assert len(arrays["_ring"]["values"]) == largest
+
+        def detectors(kind):
+            evaluator = next(e for e in evaluators if e.kind == kind)
+            return [config.detector for config in evaluator.configs]
+
+        for kind in ("seasonal-residual", "historical"):
+            largest = max(d.warmup() for d in detectors(kind))
+            assert rings(kind) == {"_ring": largest}, kind
+        largest = max(getattr(d, "window", 0) for d in detectors("window-bank"))
+        assert rings("window-bank") == {"_ring": largest + 1}
+        largest = max(d.row * d.column for d in detectors("svd"))
+        assert rings("svd") == {"_ring": largest}
+
+        wavelets = detectors("wavelet")
+        assert rings("wavelet") == {"_values": 2 * max(d.scale for d in wavelets)}
+        longest = {}
+        for d in wavelets:
+            longest[d.band] = max(longest.get(d.band, 0), d.norm_window)
+        details = states["wavelet"]["_details"]
+        assert [len(ring["values"]) for ring in details] == [
+            longest[band] for band in sorted(longest)
+        ]
 
 
 class TestRowKernels:

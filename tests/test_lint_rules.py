@@ -120,6 +120,49 @@ class TestNoLookahead:
         """})
         assert "no-lookahead" in rules_hit(result)
 
+    def test_family_evaluate_checked(self, tmp_path):
+        # The fused Table 3 batch math lives in FamilyEvaluator.evaluate;
+        # Detector._validate(series) aliases the whole series there.
+        result = lint(tmp_path, {"fam.py": """
+            from repro.detectors.base import Detector, FamilyEvaluator
+
+
+            class BadFamily(FamilyEvaluator):
+                def evaluate(self, series):
+                    values = Detector._validate(series)
+                    return (values - values.mean())[:, None]
+        """})
+        lookaheads = [f for f in result.findings if f.rule == "no-lookahead"]
+        assert len(lookaheads) == 1
+        assert lookaheads[0].data["shape"] == "whole-series-aggregate"
+        assert "BadFamily.evaluate" in lookaheads[0].message
+
+    def test_family_stream_update_checked(self, tmp_path):
+        result = lint(tmp_path, {"fam.py": """
+            from repro.detectors.base import FamilyStream
+
+
+            class BadFamilyStream(FamilyStream):
+                def update(self, value):
+                    t = len(self._ring)
+                    return self._ring[t + 1:]
+        """})
+        shapes = {f.data.get("shape") for f in result.findings
+                  if f.rule == "no-lookahead"}
+        assert shapes == {"forward-slice"}
+
+    def test_evaluate_outside_the_family_hierarchy_ignored(self, tmp_path):
+        result = lint(tmp_path, {"other.py": """
+            import numpy as np
+
+
+            class Scorer:
+                def evaluate(self, series):
+                    values = np.asarray(series.values)
+                    return values - values.mean()
+        """})
+        assert "no-lookahead" not in rules_hit(result)
+
     def test_causal_shapes_stay_quiet(self, tmp_path):
         # Every shape here exists in the real bank and must not fire:
         # past indexing, exclusive slice uppers, windowed aggregates,

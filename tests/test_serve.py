@@ -660,6 +660,66 @@ class TestHttpPlane:
         assert http_request(server, "POST", "/ingest", b"not json")[0] == 400
 
 
+class TestInfiniteValues:
+    def test_infinite_value_is_a_counted_400_and_changes_nothing(
+        self, template, tmp_path, fleet_kpi
+    ):
+        """±inf is no measurement (NaN is the §6 missing point): both
+        ingest endpoints answer it with a counted 400 before any shard
+        sees it, so the KPI's alerts stay those of an undisturbed twin."""
+        series, _, split = fleet_kpi
+        values = series.values[split + 100 : split + 160]
+        infinite = [
+            ("/ingest", b'{"kpi": "kpi-000", "value": 1e999}'),
+            ("/ingest", b'{"kpi": "kpi-000", "value": -Infinity}'),
+            ("/ingest/batch", b'{"kpi": "kpi-000", "value": Infinity}\n'),
+        ]
+        provider = ObservabilityProvider()
+        previous = set_provider(provider)
+        networked = []
+        try:
+            supervisor = make_supervisor(
+                template, tmp_path, kpi_ids=["kpi-000"], n_shards=1
+            )
+            with ReproServer(supervisor) as server:
+                for index, value in enumerate(values):
+                    if index == 20:
+                        for path, body in infinite:
+                            status, _, payload = http_request(
+                                server, "POST", path, body
+                            )
+                            assert status == 400, payload
+                            assert "infinite" in payload["error"]
+                    status, _, payload = http_request(
+                        server, "POST", "/ingest",
+                        {"kpi": "kpi-000", "value": float(value)},
+                    )
+                    assert status == 200, payload
+                    networked.extend(
+                        (event["kind"], event["begin_index"],
+                         event["end_index"], event["peak_score"])
+                        for event in payload["events"]
+                    )
+        finally:
+            set_provider(previous)
+        for endpoint, rejected in (("/ingest", 2), ("/ingest/batch", 1)):
+            counted = provider.counter(
+                "repro_serve_requests_total", endpoint=endpoint, status="400"
+            )
+            assert counted.value == rejected
+
+        twin = clone_service(template, "kpi-000")
+        expected = []
+        for value in values:
+            expected.extend(
+                (event.kind, event.begin_index, event.end_index,
+                 event.peak_score)
+                for event in twin.ingest(float(value))
+            )
+        assert expected, "the window raised no alerts"
+        assert networked == expected
+
+
 class _SaturatedSupervisor:
     """A supervisor double whose shards reject everything — drives the
     plane's 429 mapping without needing a real overloaded fleet."""
