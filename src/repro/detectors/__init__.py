@@ -16,7 +16,6 @@ from .base import (
     StreamBank,
     build_configs,
     build_family_evaluators,
-    prefix_sums,
     register_family_builder,
     rolling_mean,
     rolling_std,
@@ -54,7 +53,6 @@ __all__ = [
     "build_configs",
     "build_family_evaluators",
     "register_family_builder",
-    "prefix_sums",
     "rolling_mean",
     "rolling_std",
     "SimpleThreshold",

@@ -33,6 +33,7 @@ from .base import (
     ParamValue,
     SeverityStream,
     scale_floor,
+    warmup_magnitude,
 )
 
 #: Sampled grids used by ``extended_detectors``.
@@ -74,11 +75,7 @@ class CUSUM(Detector):
             mean[self.window:] = windows[:-1].mean(axis=1)
             std[self.window:] = windows[:-1].std(axis=1)
         # The std floor must be causal: it uses only warm-up data.
-        prefix = values[: self.window]
-        prefix_finite = prefix[np.isfinite(prefix)]
-        floor = scale_floor(
-            float(np.abs(prefix_finite).mean()) if len(prefix_finite) else 0.0
-        )
+        floor = scale_floor(warmup_magnitude(values[: self.window]))
         with np.errstate(invalid="ignore"):
             z = (values - mean) / np.maximum(std, floor)
         positive = 0.0
@@ -121,21 +118,15 @@ class _CUSUMStream(SeverityStream):
                 self._prefix_abs_sum / self._prefix_n if self._prefix_n else 0.0
             )
         window = np.asarray(self._window)
-        finite = window[np.isfinite(window)]
-        if len(finite) == 0 or np.isnan(value):
-            severity = float("nan")
-        else:
-            # Match the batch rolling mean/std semantics: statistics over
-            # the full window positions, NaN-poisoned like numpy's
-            # non-nan-aware rolling helpers.
-            if np.isfinite(window).all():
-                mean = float(window.mean())
-                std = float(window.std())
-                z = (value - mean) / max(std, self._floor)
-                self._positive = max(0.0, self._positive + z - detector.slack)
-                self._negative = max(0.0, self._negative - z - detector.slack)
-                severity = max(self._positive, self._negative)
-            else:
-                severity = float("nan")
+        severity = float("nan")
+        # A missing point in the window or at t leaves the state as is,
+        # like the batch NaN z-score.
+        if not np.isnan(value) and np.isfinite(window).all():
+            mean = float(window.mean())
+            std = float(window.std())
+            z = (value - mean) / max(std, self._floor)
+            self._positive = max(0.0, self._positive + z - detector.slack)
+            self._negative = max(0.0, self._negative - z - detector.slack)
+            severity = max(self._positive, self._negative)
         self._window.append(value)
         return severity

@@ -29,7 +29,6 @@ from .base import (
     FamilyStream,
     ParamValue,
     SeverityStream,
-    prefix_sums,
     register_family_builder,
     rolling_mean,
 )
@@ -190,12 +189,12 @@ class WindowBankEvaluator(FamilyEvaluator):
     """Fused pass over the trailing-window prediction detectors (plus
     the parameterless static threshold, which rides along for free).
 
-    The clean-data prefix-sum array is computed once and shared by
-    every simple-MA window size; the one-slot absolute differences are
-    computed once and shared by every MA-of-diff window. Weighted MA
-    forecasts point ``t`` with the weighted sum of the window ending at
-    ``t - 1``. A missing point invalidates only the windows containing
-    it: MA of diff uses sliding windows, not cumulative sums.
+    Every config reduces each trailing window on its own, as its stream
+    does: simple MA takes the window's mean (:func:`rolling_mean`),
+    weighted MA its ``np.convolve`` with the weights, and MA of diff the
+    mean of the window's one-slot absolute differences, computed once
+    for every MA-of-diff window. A missing point invalidates only the
+    windows containing it.
     """
 
     kind = "window-bank"
@@ -216,17 +215,13 @@ class WindowBankEvaluator(FamilyEvaluator):
         values = Detector._validate(series)
         n = len(values)
         out = np.full((n, len(self.configs)), np.nan)
-        cumsum = prefix_sums(values) if np.isfinite(values).all() else None
         diffs: Optional[np.ndarray] = None
         for j, config in enumerate(self.configs):
             detector = config.detector
             if isinstance(detector, SimpleThreshold):
                 out[:, j] = values
             elif isinstance(detector, SimpleMA):
-                out[:, j] = np.abs(
-                    values
-                    - rolling_mean(values, detector.window, cumsum=cumsum)
-                )
+                out[:, j] = np.abs(values - rolling_mean(values, detector.window))
             elif n <= detector.window:
                 continue
             elif isinstance(detector, WeightedMA):
@@ -254,7 +249,7 @@ class _WindowBankStream(FamilyStream):
     the last ``span + 1`` raw values serves every config. Each point
     reads the ring once; each config reduces its own contiguous tail
     (the previous ``win`` values, or the ``win`` newest one-slot
-    differences)."""
+    differences) with the batch formula."""
 
     def __init__(self, evaluator: WindowBankEvaluator):
         self._evaluator = evaluator
@@ -266,24 +261,28 @@ class _WindowBankStream(FamilyStream):
         recent = np.asarray(self._ring)
         previous = recent[:-1]
         diffs: Optional[np.ndarray] = None
-        out = []
-        for config in self._evaluator.configs:
+        configs = self._evaluator.configs
+        out = np.full(len(configs), np.nan)
+        # np.add.reduce(tail) / window is tail.mean() minus its overhead.
+        for j, config in enumerate(configs):
             detector = config.detector
             window = getattr(detector, "window", 0)
             if len(previous) < window:
-                out.append(float("nan"))
-            elif isinstance(detector, SimpleThreshold):
-                out.append(value)
+                continue
+            if isinstance(detector, SimpleThreshold):
+                out[j] = value
             elif isinstance(detector, SimpleMA):
-                out.append(abs(value - float(previous[-window:].mean())))
+                out[j] = abs(value - np.add.reduce(previous[-window:]) / window)
             elif isinstance(detector, WeightedMA):
-                forecast = float(np.dot(previous[-window:], detector._weights))
-                out.append(abs(value - forecast))
+                forecast = np.convolve(
+                    previous[-window:], detector._weights[::-1], mode="valid"
+                )
+                out[j] = abs(value - forecast[0])
             else:
                 if diffs is None:
                     diffs = np.abs(np.diff(recent))
-                out.append(float(diffs[-window:].mean()))
-        return np.array(out)
+                out[j] = np.add.reduce(diffs[-window:]) / window
+        return out
 
 
 # ----------------------------------------------------------------------

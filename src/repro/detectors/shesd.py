@@ -34,6 +34,7 @@ from .base import (
     SeverityStream,
     nan_row_stat,
     scale_floor,
+    warmup_magnitude,
 )
 from .historical import MAD_TO_SIGMA
 
@@ -113,9 +114,7 @@ class SHESD(Detector):
 
     @staticmethod
     def _floor(residuals: np.ndarray, start: int) -> float:
-        prefix = residuals[:start]
-        finite = prefix[np.isfinite(prefix)]
-        return scale_floor(float(np.abs(finite).mean()) if len(finite) else 0.0)
+        return scale_floor(warmup_magnitude(residuals[:start]))
 
     def stream(self) -> SeverityStream:
         return _SHESDStream(self)

@@ -76,9 +76,8 @@ class TestBankInvariants:
         """Appending future data never changes past severities."""
         full = detector.severities(ts(values + [9e3, -9e3, 0.0]))
         prefix = detector.severities(ts(values))
-        np.testing.assert_allclose(
-            full[: len(values)], prefix, equal_nan=True, atol=1e-9,
-            err_msg=detector.feature_name,
+        np.testing.assert_array_equal(
+            full[: len(values)], prefix, err_msg=detector.feature_name
         )
 
     @given(values=values_strategy)
@@ -109,9 +108,7 @@ def test_stream_matches_batch(detector, rng):
     batch = detector.severities(ts(values))
     stream = detector.stream()
     online = np.array([stream.update(v) for v in values])
-    np.testing.assert_allclose(
-        online, batch, equal_nan=True, atol=1e-9, err_msg=detector.feature_name
-    )
+    np.testing.assert_array_equal(online, batch, err_msg=detector.feature_name)
 
 
 def test_arima_causality(rng):
@@ -119,9 +116,7 @@ def test_arima_causality(rng):
     detector = ARIMA(fit_points=100)
     prefix = detector.severities(ts(values))
     extended = detector.severities(ts(np.concatenate([values, [500.0, 0.0]])))
-    np.testing.assert_allclose(
-        extended[:150], prefix, equal_nan=True, atol=1e-9
-    )
+    np.testing.assert_array_equal(extended[:150], prefix)
 
 
 def test_arima_stream_matches_batch(rng):
@@ -130,7 +125,7 @@ def test_arima_stream_matches_batch(rng):
     batch = detector.severities(ts(values))
     stream = detector.stream()
     online = np.array([stream.update(v) for v in values])
-    np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+    np.testing.assert_array_equal(online, batch)
 
 
 def test_feature_names_unique_across_bank():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.detectors import (
+    ARIMA,
     Diff,
     DetectorError,
     EWMA,
     MAOfDiff,
     SimpleMA,
     SimpleThreshold,
+    StreamBank,
     WeightedMA,
+    build_configs,
     rolling_mean,
     rolling_std,
 )
@@ -25,14 +28,14 @@ class TestRollingHelpers:
     def test_rolling_mean_excludes_current(self):
         out = rolling_mean(np.array([1.0, 2.0, 3.0, 4.0]), 2)
         assert np.isnan(out[:2]).all()
-        assert out[2] == pytest.approx(1.5)  # mean(1, 2)
-        assert out[3] == pytest.approx(2.5)  # mean(2, 3)
+        assert out[2] == 1.5  # mean(1, 2)
+        assert out[3] == 2.5  # mean(2, 3)
 
     def test_rolling_std_matches_numpy(self):
         values = np.arange(10, dtype=float) ** 1.5
         out = rolling_std(values, 4)
         for t in range(4, 10):
-            assert out[t] == pytest.approx(values[t - 4: t].std())
+            assert out[t] == values[t - 4: t].std()
 
     def test_rejects_bad_window(self):
         with pytest.raises(DetectorError):
@@ -173,4 +176,40 @@ class TestStreamsMatchBatch:
         batch = detector.severities(series)
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
+
+
+class TestInfiniteValuesAreMissing:
+    """±inf enters the detectors as a missing point, in the batch mode
+    (``Detector._validate``) and at the stream bank's entry alike."""
+
+    DETECTORS = [
+        SimpleThreshold(),
+        Diff("last-slot", 1),
+        SimpleMA(4),
+        WeightedMA(4),
+        MAOfDiff(3),
+        EWMA(0.3),
+        ARIMA(fit_points=100),
+    ]
+
+    def test_batch_and_stream_bank_treat_inf_as_nan(self, rng):
+        values = rng.normal(50.0, 5.0, size=150)
+        values[40] = np.inf  # inside ARIMA's fit prefix
+        values[120] = -np.inf
+        missing = np.where(np.isinf(values), np.nan, values)
+        configs = build_configs(self.DETECTORS)
+        bank = StreamBank(configs)
+        rows = np.vstack([bank.extract_point(v) for v in values])
+        for config in configs:
+            batch = config.detector.severities(ts(values))
+            np.testing.assert_array_equal(
+                batch, config.detector.severities(ts(missing))
+            )
+            np.testing.assert_array_equal(rows[:, config.index], batch)
+
+    def test_validate_leaves_the_caller_array_alone(self):
+        values = np.array([1.0, np.inf, -np.inf, 2.0])
+        out = SimpleThreshold().severities(ts(values))
+        np.testing.assert_array_equal(out, [1.0, np.nan, np.nan, 2.0])
+        assert np.isinf(values[1:3]).all()

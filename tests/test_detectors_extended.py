@@ -10,6 +10,7 @@ from repro.detectors import (
     DetectorError,
     EWMA,
     MAOfDiff,
+    SHESD,
     SimpleMA,
     extended_detectors,
     rolling_mean,
@@ -66,7 +67,7 @@ class TestBrutlag:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_missing_points_freeze_state(self, rng):
         values = seasonal_series(rng, periods=6)
@@ -82,9 +83,7 @@ class TestBrutlag:
         extended = detector.severities(
             ts(np.concatenate([values, [1e6, 0.0]]))
         )
-        np.testing.assert_allclose(
-            extended[: len(values)], prefix, equal_nan=True, atol=1e-9
-        )
+        np.testing.assert_array_equal(extended[: len(values)], prefix)
 
 
 class TestCUSUM:
@@ -122,7 +121,7 @@ class TestCUSUM:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_stream_matches_batch_with_missing(self, rng):
         values = rng.normal(100, 5.0, 300)
@@ -131,16 +130,41 @@ class TestCUSUM:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_causality(self, rng):
         values = rng.normal(100, 5.0, 200)
         detector = CUSUM(20, 0.5)
         prefix = detector.severities(ts(values))
         extended = detector.severities(ts(np.concatenate([values, [1e5]])))
-        np.testing.assert_allclose(
-            extended[:200], prefix, equal_nan=True, atol=1e-9
-        )
+        np.testing.assert_array_equal(extended[:200], prefix)
+
+
+def flat_tail(seed):
+    """600 points of N(100, 7) whose last 300 are flat but for one bump:
+    the trailing std is 0 there, so the warm-up scale floor binds."""
+    values = np.random.default_rng(seed).normal(100.0, 7.0, 600)
+    values[300:] = 100.0
+    values[450] = 103.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [CUSUM(20, 0.25), CUSUM(50, 0.25), SHESD(1, 24)],
+    ids=["cusum-20", "cusum-50", "shesd-1w"],
+)
+def test_bound_scale_floor_is_the_same_in_both_modes(detector):
+    """Batch and stream sum the warm-up prefix in the same order, so a
+    floor that binds gives the same severities bit for bit (a pairwise
+    batch mean differed from the stream's running sum in the last ulp)."""
+    for seed in range(50):
+        values = flat_tail(seed)
+        batch = detector.severities(ts(values))
+        assert np.nanmax(batch) > 1e3  # the bump over the floor
+        stream = detector.stream()
+        online = np.array([stream.update(v) for v in values])
+        np.testing.assert_array_equal(online, batch, err_msg=f"seed {seed}")
 
 
 class TestExtendedRegistry:
@@ -189,7 +213,7 @@ class TestDirtyDataMAFamily:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_rolling_helpers_localize_nan(self):
         values = np.arange(20, dtype=float)
@@ -259,7 +283,7 @@ class TestSHESD:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_stream_matches_batch_with_missing(self, rng):
         from repro.detectors import SHESD
@@ -270,7 +294,7 @@ class TestSHESD:
         batch = detector.severities(ts(values))
         stream = detector.stream()
         online = np.array([stream.update(v) for v in values])
-        np.testing.assert_allclose(online, batch, equal_nan=True, atol=1e-9)
+        np.testing.assert_array_equal(online, batch)
 
     def test_causality(self, rng):
         from repro.detectors import SHESD
@@ -279,6 +303,4 @@ class TestSHESD:
         detector = SHESD(2, 14)
         prefix = detector.severities(ts(values))
         extended = detector.severities(ts(np.concatenate([values, [1e6]])))
-        np.testing.assert_allclose(
-            extended[: len(values)], prefix, equal_nan=True, atol=1e-9
-        )
+        np.testing.assert_array_equal(extended[: len(values)], prefix)

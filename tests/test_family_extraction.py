@@ -6,19 +6,20 @@ serial path (``Detector.severities``), and the incremental per-point
 path (:class:`repro.detectors.StreamBank`). The contract under test:
 
 * fused == per-config serial, *bit for bit*, including NaN masks, over
-  the full 133-configuration bank on both clean and dirty (§6) data;
-* incremental == batch with identical NaN masks; exact for the
-  families whose stream runs the batch kernel (seasonal-residual,
-  historical, Holt-Winters, SVD), documented-ULP-close (<= 1e-9) for
-  the window bank and wavelet — see docs/performance.md;
+  the full 133-configuration bank on clean, dirty (§6) and hostile
+  (±inf) data;
+* incremental == batch, bit for bit, for every config of the bank and
+  of the extended detectors on the same data: each window statistic
+  has one formulation, the per-window reduction the streams compute,
+  and an infinite value is a missing point in both modes;
 * the full bank's stream rows are pinned by digest, clean and dirty;
 * a bank checkpoint holds one state per family, and every family whose
   state keeps raw values (seasonal-residual, historical, the window
   bank, SVD and wavelet) holds one ring of them;
 * the nan-aware row kernels equal numpy's ``nan*`` reductions bit for
   bit, and a one-row call equals the row of a many-row call;
-* ``rolling_std`` survives large offsets (the catastrophic-cancellation
-  fix), agreeing with the strided fallback up to 1e9.
+* ``rolling_std`` centres each window on its own mean, so it survives
+  large offsets, and a NaN leaves the windows without it unchanged.
 """
 
 import hashlib
@@ -30,31 +31,22 @@ import pytest
 
 from repro.detectors import (
     StreamBank,
+    build_configs,
     build_family_evaluators,
     configs_for,
+    default_detectors,
+    extended_detectors,
     rolling_std,
 )
+from repro.detectors import base
 from repro.detectors.base import row_nanmean, row_nanmedian, row_nanstd
 from repro.timeseries import TimeSeries
-
-#: Families (family keys) whose per-point stream runs the same fused
-#: kernel as the batch pass — stream == batch must hold exactly, not
-#: just closely.
-EXACT_STREAM_FAMILIES = {"holt-winters", "svd", "seasonal-residual", "historical"}
-
-#: The window bank and wavelet streams are causal recurrences, while
-#: their batch kernels pick a formulation from the whole series:
-#: ``rolling_mean`` takes its cumulative-sum branch only when every
-#: value is finite, and ``rolling_std`` centres on the series mean. No
-#: causal stream can match those bit for bit without changing the batch
-#: numbers, so the two agree to accumulated float64 rounding.
-STREAM_ATOL = 1e-9
 
 #: sha256 of the full bank's ``StreamBank`` rows over ``hourly_kpi``,
 #: clean and :func:`dirty` (NaN cells canonicalised).
 STREAM_ROWS_SHA256 = {
-    "clean": "e0259c70676f19ea66e2bd2976f8cde0b48b63f26191d559f107fc0e77508fea",
-    "dirty": "c787cb4031f32ad8410ff2c22c447c4f8ebc90ce5c8ec98718c1e60fc1983741",
+    "clean": "e07e79bf0bd5a068cb8c9ebae8a436d920b39250ed0a28c77b44970f654c0ba4",
+    "dirty": "94e55fb5475d7078b4ae26549c0959ab9963b78e2f3fbe72371e3940430a506b",
 }
 
 
@@ -65,6 +57,21 @@ def dirty(series: TimeSeries) -> TimeSeries:
     values[200] = np.nan
     values[50:55] = np.nan
     values[400:412] = np.nan
+    return TimeSeries(
+        values=values,
+        interval=series.interval,
+        start=series.start,
+        name=series.name,
+    )
+
+
+def hostile(series: TimeSeries) -> TimeSeries:
+    """:func:`dirty` plus one +inf and one -inf, both inside ARIMA's
+    fit prefix: values a library caller can pass in, which both modes
+    treat as missing points."""
+    values = dirty(series).values.copy()
+    values[30] = np.inf
+    values[300] = -np.inf
     return TimeSeries(
         values=values,
         interval=series.interval,
@@ -84,7 +91,9 @@ def serial_reference(series: TimeSeries, configs) -> np.ndarray:
 class TestFusedEquivalence:
     """fused family pass == per-config serial, bit for bit."""
 
-    @pytest.mark.parametrize("make", [lambda s: s, dirty], ids=["clean", "dirty"])
+    @pytest.mark.parametrize(
+        "make", [lambda s: s, dirty, hostile], ids=["clean", "dirty", "hostile"]
+    )
     def test_full_bank_bit_identical(self, hourly_kpi, make):
         series = make(hourly_kpi)
         configs = configs_for(series)
@@ -121,35 +130,29 @@ class TestFusedEquivalence:
 class TestIncrementalEquivalence:
     """StreamBank per-point rows == the fused batch matrix."""
 
-    @pytest.mark.parametrize("make", [lambda s: s, dirty], ids=["clean", "dirty"])
+    @pytest.mark.parametrize(
+        "make", [lambda s: s, dirty, hostile], ids=["clean", "dirty", "hostile"]
+    )
     def test_stream_bank_matches_batch(self, hourly_kpi, make):
+        """The Table 3 bank plus the extended detectors."""
         series = make(hourly_kpi)
-        configs = configs_for(series)
+        configs = build_configs(
+            default_detectors(series.interval)
+            + extended_detectors(series.interval)
+        )
         reference = serial_reference(series, configs)
 
         bank = StreamBank(configs)
         rows = np.vstack([bank.extract_point(v) for v in series.values])
         assert rows.shape == reference.shape
-
-        # Identical NaN masks everywhere: warm-up windows and dirty
-        # points invalidate exactly the same cells.
-        np.testing.assert_array_equal(
-            np.isnan(rows), np.isnan(reference), err_msg="NaN masks differ"
-        )
-        np.testing.assert_allclose(
-            rows, reference, rtol=0, atol=STREAM_ATOL, equal_nan=True
-        )
-
-        # Shared-kernel families must agree exactly, not just closely.
+        # Every family, bit for bit, NaN masks included: warm-up windows
+        # and missing points invalidate exactly the same cells.
         for config in configs:
-            family = config.detector.family()
-            kind = family[0] if family else config.detector.kind
-            if kind in EXACT_STREAM_FAMILIES:
-                np.testing.assert_array_equal(
-                    rows[:, config.index],
-                    reference[:, config.index],
-                    err_msg=f"stream != batch for shared-kernel {config.name}",
-                )
+            np.testing.assert_array_equal(
+                rows[:, config.index],
+                reference[:, config.index],
+                err_msg=f"stream != batch for {config.name}",
+            )
 
     @pytest.mark.parametrize(
         "make,expected",
@@ -272,29 +275,47 @@ class TestRowKernels:
 
 
 class TestRollingStdOffsets:
-    """The catastrophic-cancellation fix: the cumsum fast path must
-    agree with the strided fallback at offsets where the uncentred
-    sum-of-squares formula lost the entire variance."""
+    """Offset robustness of the one ``rolling_std`` formulation: each
+    window is centred on its own mean, so an offset where an uncentred
+    sum-of-squares formula lost the entire variance leaves the spread
+    intact, and a NaN changes only the windows that contain it."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8, 1e9])
     @pytest.mark.parametrize("window", [5, 24])
     def test_fast_path_matches_strided_fallback(self, rng, offset, window):
-        values = offset + rng.normal(0.0, 3.0, size=400)
-        fast = rolling_std(values, window)
+        """(Named for the two formulations the one kernel replaced.) The
+        clean series and a copy with a NaN in its first window agree bit
+        for bit on every window without the NaN, each window is
+        ``np.std`` of its values, and the spread survives the offset."""
+        noise = rng.normal(0.0, 3.0, size=400)
+        values = offset + noise
+        clean = rolling_std(values, window)
+        assert np.isnan(clean[:window]).all()
+        assert np.isfinite(clean[window:]).all()
+        for t in (window, 200, 399):
+            assert clean[t] == np.std(values[t - window:t])
 
-        # Force the strided fallback by breaking the all-finite check
-        # on a copy, then compare the unaffected region.
         dirty_values = values.copy()
         dirty_values[0] = np.nan
-        slow = rolling_std(dirty_values, window)
+        dirty_out = rolling_std(dirty_values, window)
+        assert np.isnan(dirty_out[window])
         start = window + 1  # first window untouched by the NaN
-        assert np.isfinite(fast[window:]).all()
-        np.testing.assert_allclose(
-            fast[start:], slow[start:], rtol=1e-6, atol=1e-9
-        )
+        np.testing.assert_array_equal(dirty_out[start:], clean[start:])
+
         # The spread is ~3.0; a cancelled variance would collapse the
-        # std toward 0 (the pre-fix failure at 1e8+).
-        assert fast[window:].mean() > 1.0
+        # std toward 0. Adding the offset rounds the noise to its ulp
+        # (0.12 at 1e9), so the comparison with the bare noise allows
+        # that much.
+        np.testing.assert_allclose(
+            clean[window:], rolling_std(noise, window)[window:], rtol=0, atol=0.1
+        )
+        assert clean[window:].mean() > 1.0
+
+    def test_chunking_does_not_change_a_bit(self, rng, monkeypatch):
+        values = rng.normal(0.0, 3.0, size=500)
+        whole = rolling_std(values, 24)
+        monkeypatch.setattr(base, "ROLLING_CHUNK_ELEMENTS", 100)
+        np.testing.assert_array_equal(rolling_std(values, 24), whole)
 
     def test_zero_variance_is_exactly_zero(self):
         values = np.full(50, 1e9)

@@ -19,7 +19,7 @@ from repro.detectors import (
 #: sha256 of the Table 3 matrix of the ``hourly_kpi`` fixture; any
 #: change to an extracted bit changes it.
 HOURLY_KPI_MATRIX_SHA256 = (
-    "ef2b3fb51c998de9b01aff7634743312b69743e7886c292b3f12dc25c87f1e50"
+    "e07e79bf0bd5a068cb8c9ebae8a436d920b39250ed0a28c77b44970f654c0ba4"
 )
 
 

@@ -287,11 +287,8 @@ class TestRetrain:
         fresh = FeatureExtractor(
             small_bank(series.points_per_week)
         ).extract(service._history)
-        np.testing.assert_allclose(
-            service.opprentice._feature_values,
-            fresh.values,
-            atol=1e-9,
-            equal_nan=True,
+        np.testing.assert_array_equal(
+            service.opprentice._feature_values, fresh.values
         )
 
     def test_retrain_matches_pre_checkpoint_full_refit(self, deployment):
@@ -322,4 +319,4 @@ class TestRetrain:
         batch_scores = reference.anomaly_scores(probe)
         decisions = service._streaming.push_many(probe.values)
         online_scores = np.array([d.score for d in decisions])
-        np.testing.assert_allclose(online_scores, batch_scores, atol=1e-12)
+        np.testing.assert_array_equal(online_scores, batch_scores)
