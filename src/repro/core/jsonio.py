@@ -1,10 +1,10 @@
 """Piecewise JSON writing with pre-encoded parts.
 
-A checkpoint holds large parts that change only when a model is refit
-(a forest, the training feature matrix, the diagnoser) next to small
-state that changes with every point. Their owners memoise the JSON text
-of the large parts; :class:`JSONText` carries such text inside a
-payload, and :func:`write_json` writes the payload to a file in
+A model file holds a large part that changes only when the model is
+refit (the forest) next to small parts. The forest memoises its JSON
+text (:meth:`~repro.ml.RandomForest.to_json`), so a checkpoint taken
+after every acknowledged batch does not re-encode it; :class:`JSONText`
+carries such text inside a payload, and :func:`write_json` writes the payload to a file in
 fragments. The file is byte-identical to ``json.dumps`` of the payload
 with every part decoded, and the whole document is never joined into
 one string in memory.

@@ -17,7 +17,6 @@ Two entry points:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -121,30 +120,6 @@ class Opprentice:
         #: fit_incremental() can extend the matrix with just the new
         #: points' severity rows instead of re-extracting everything.
         self._feature_values: Optional[np.ndarray] = None
-
-    @property
-    def _feature_values(self) -> Optional[np.ndarray]:
-        return self._features
-
-    @_feature_values.setter
-    def _feature_values(self, values: Optional[np.ndarray]) -> None:
-        # Replacing the matrix (fit, incremental refit, restore) drops
-        # the JSON text encoded from the old one.
-        self._features = values
-        self._features_json: Optional[str] = None
-
-    def feature_values_json(self) -> str:
-        """The cached feature matrix as JSON text, encoded once per fit.
-
-        Equals ``json.dumps(self._feature_values.tolist())``. Service
-        checkpoints write it at every save, while the matrix changes
-        only when the model is refit.
-        """
-        if self._features is None:
-            raise RuntimeError("no cached feature matrix; fit() first")
-        if self._features_json is None:
-            self._features_json = json.dumps(self._features.tolist())
-        return self._features_json
 
     # ------------------------------------------------------------------
     def fit(self, series: TimeSeries) -> "Opprentice":

@@ -115,44 +115,34 @@ def load_model(
 
 
 def save_service_checkpoint(
-    service: MonitoringService,
-    path: Union[str, Path],
-    *,
-    include_features: bool = True,
+    service: MonitoringService, path: Union[str, Path]
 ) -> None:
-    """Persist a bootstrapped :class:`MonitoringService`'s full mutable
-    state (JSON): warm streams, the open alert run, pending buffers,
-    label windows, the labelled history and counters.
+    """Persist a bootstrapped :class:`MonitoringService`'s inputs as
+    ``json.dumps`` of ``{"format_version": ..., "snapshot":
+    service.snapshot()}``.
 
     The model itself is saved separately with :func:`save_model`; a
     ``(model.json, service.json)`` pair makes the service restartable
-    with a future alert stream identical to the uninterrupted one. Set
-    ``include_features=False`` to drop the cached training matrix (the
-    O(history × configs) bulk) at the cost of one full refit on the
-    first post-restore retraining round.
-
-    Only the state that changed since the last fit is encoded here: the
-    forest, the training matrix and the diagnoser are written from the
-    JSON text their owners keep until the next fit, and the document
-    goes to disk in fragments. The file is byte-identical to
-    ``json.dumps`` of ``{"format_version": ..., "snapshot":
-    service.snapshot(include_features)}``.
+    with a future alert stream identical to the uninterrupted one.
     """
     payload = {
         "format_version": SERVICE_CHECKPOINT_FORMAT_VERSION,
-        "snapshot": service.snapshot(
-            include_features=include_features, memoised=True
-        ),
+        "snapshot": service.snapshot(),
     }
-    write_json(path, payload)
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_service_checkpoint(
-    path: Union[str, Path], service: MonitoringService
+    path: Union[str, Path],
+    service: MonitoringService,
+    *,
+    shared_diagnosers=None,
 ) -> MonitoringService:
     """Restore a checkpoint saved by :func:`save_service_checkpoint`
     into ``service``, whose Opprentice must already be fitted (via
-    :func:`load_model`) over the same detector bank."""
+    :func:`load_model`) over the same detector bank.
+    ``shared_diagnosers`` is passed on to
+    :meth:`MonitoringService.restore_snapshot`."""
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != SERVICE_CHECKPOINT_FORMAT_VERSION:
@@ -160,4 +150,6 @@ def load_service_checkpoint(
             f"unsupported service checkpoint format {version!r} "
             f"(expected {SERVICE_CHECKPOINT_FORMAT_VERSION})"
         )
-    return service.restore_snapshot(payload["snapshot"])
+    return service.restore_snapshot(
+        payload["snapshot"], shared_diagnosers=shared_diagnosers
+    )

@@ -29,14 +29,15 @@ from ..evaluation import MODERATE_PREFERENCE, AccuracyPreference
 from ..ml import Classifier
 from ..obs import MetricsRegistry, get_provider
 from ..timeseries import AnomalyWindow, TimeSeries, merge_windows, windows_to_points
-from .jsonio import JSONText
 from .opprentice import Opprentice, default_classifier_factory
 from .prediction import best_cthld
 from .streaming import StreamingDetector
 
 #: Version tag of the service-checkpoint dict layout produced by
-#: :meth:`MonitoringService.snapshot`.
-SERVICE_SNAPSHOT_VERSION = 1
+#: :meth:`MonitoringService.snapshot`. Version 2 stores the inputs
+#: only; version 1 also embedded the training matrix, the pending rows
+#: and scores, and the diagnoser, and is still read.
+SERVICE_SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -571,17 +572,9 @@ class MonitoringService:
         self._close_open_run()
         checkpoint = self._streaming.snapshot()
 
-        if self._opprentice._feature_values is None:
-            # A service restored from a checkpoint saved without the
-            # feature-matrix cache (snapshot(include_features=False)):
-            # fall back to a full refit, which re-extracts the combined
-            # series and re-primes the cache. The incremental == full
-            # equivalence tests make the two paths interchangeable.
-            self._opprentice.fit(combined)
-        else:
-            self._opprentice.fit_incremental(
-                combined, np.asarray(self._pending_rows, dtype=np.float64)
-            )
+        self._opprentice.fit_incremental(
+            combined, np.asarray(self._pending_rows, dtype=np.float64)
+        )
         self._opprentice.cthld_ = self._opprentice.cthld_predictor.predict(
             self._opprentice.classifier_factory,
             self._opprentice._train_features,
@@ -620,56 +613,33 @@ class MonitoringService:
         return self.cthld
 
     # ------------------------------------------------------------------
-    # Checkpointing: the full mutable service state as one JSON dict.
+    # Checkpointing: the service's inputs as one JSON dict; restore
+    # derives everything else from them.
     # ------------------------------------------------------------------
-    def snapshot(
-        self, include_features: bool = True, *, memoised: bool = False
-    ) -> Dict[str, Any]:
-        """The service's mutable state as a JSON-serializable dict.
+    def snapshot(self) -> Dict[str, Any]:
+        """The service's mutable inputs as a JSON-serializable dict.
 
         Together with the model artifact (:func:`~repro.core.save_model`)
         this makes a deployed service fully restartable: restoring the
         snapshot into a fresh service over the same fitted model
-        reproduces the uninterrupted service's future alert stream
-        exactly — including an alert run still *open* at checkpoint time
-        (``_run_begin``/``_run_scores``) and the pending not-yet-labelled
-        buffers, so a crash-restart never silently drops an in-flight
-        alert or the points awaiting the next retraining round.
+        reproduces the uninterrupted service's future alerts and
+        retrains exactly, an alert run still *open* at checkpoint time
+        included.
 
-        ``include_features=False`` omits the cached training feature
-        matrix (the bulkiest part, O(history × configs)); a service
-        restored without it stays bit-identical for ingest and falls
-        back to a full refit on its next :meth:`retrain`.
-
-        ``memoised=True`` is the form
-        :func:`~repro.core.save_service_checkpoint` writes: the parts
-        that change only when a model is fitted (the training matrix and
-        the diagnoser) come back as their memoised
-        :class:`~repro.core.jsonio.JSONText`, so a checkpoint re-encodes
-        only the per-point state.
+        It holds only what cannot be recomputed, and names the
+        diagnoser by sha256. The training matrix and the pending rows
+        and scores are left out: :meth:`restore_snapshot` derives them,
+        so the file grows by one value per pending point.
         """
         if self._history is None or self._streaming is None:
             raise RuntimeError("bootstrap() must run before snapshot()")
-        features = self._opprentice._feature_values
-        if not include_features or features is None:
-            train_features = None
-        elif memoised:
-            train_features = JSONText(self._opprentice.feature_values_json())
-        else:
-            train_features = features.tolist()
-        if self.diagnoser is None:
-            diagnoser = None
-        elif memoised:
-            diagnoser = JSONText(self.diagnoser.to_json())
-        else:
-            diagnoser = self.diagnoser.to_dict()
         return {
             "format_version": SERVICE_SNAPSHOT_VERSION,
             "kpi": self._history.name,
             "min_duration_points": self.min_duration_points,
             "history": {
-                "values": [float(v) for v in self._history.values],
-                "labels": [int(v) for v in self._history.labels],
+                "values": self._history.values.tolist(),
+                "labels": self._history.labels.tolist(),
                 "interval": int(self._history.interval),
                 "start": int(self._history.start),
                 "name": self._history.name,
@@ -678,63 +648,73 @@ class MonitoringService:
                 [int(w.begin), int(w.end)] for w in self._label_windows
             ],
             "labeled_until": int(self._labeled_until),
-            "pending": {
-                "values": list(self._pending_values),
-                "scores": [float(s) for s in self._pending_scores],
-                "rows": [
-                    [float(x) for x in row] for row in self._pending_rows
-                ],
-            },
+            "pending": {"values": list(self._pending_values)},
             "run": {
                 "begin": self._run_begin,
                 "scores": [float(s) for s in self._run_scores],
             },
             "stream": self._streaming.snapshot(),
             "cthld_predictor": self._opprentice.cthld_predictor.snapshot(),
-            "train_features": train_features,
-            "diagnoser": diagnoser,
+            "diagnoser": (
+                None if self.diagnoser is None else self.diagnoser.sha256()
+            ),
             "stats": self.stats.as_dict(),
         }
 
     def _restore_streams(
-        self,
-        checkpoint: Mapping[str, Any],
-        history: TimeSeries,
-        pending_values: Sequence[float],
+        self, checkpoint: Mapping[str, Any], seen: TimeSeries
     ) -> StreamingDetector:
-        """The warm detector streams of a snapshot.
-
-        An older stream checkpoint (version 1 or 2) holds states the
-        family streams no longer read. Its streams had seen exactly the
-        history and the pending points, so replaying those into fresh
-        streams rebuilds the state they would have restored.
-        """
+        """The warm detector streams of a snapshot whose streams had
+        seen exactly ``seen`` (history + pending). An older stream
+        checkpoint (version 1 or 2) holds states the family streams no
+        longer read: replaying ``seen`` rebuilds them."""
         if checkpoint.get("format_version") not in (1, 2):
             return StreamingDetector(
-                self._opprentice, checkpoint=checkpoint, kpi=history.name
+                self._opprentice, checkpoint=checkpoint, kpi=seen.name
             )
-        streaming = StreamingDetector(self._opprentice, kpi=history.name)
+        streaming = StreamingDetector(self._opprentice, kpi=seen.name)
         streaming.check_feature_names(checkpoint["feature_names"])
-        seen = np.concatenate(
-            [history.values, np.asarray(pending_values, dtype=np.float64)]
-        )
         if len(seen) != int(checkpoint["index"]) + 1:
             raise ValueError(
                 f"stream checkpoint saw {int(checkpoint['index']) + 1} "
                 f"points, the snapshot holds {len(seen)}"
             )
-        streaming.replay(
-            TimeSeries(
-                values=seen,
-                interval=history.interval,
-                start=history.start,
-                name=history.name,
-            )
-        )
+        streaming.replay(seen)
         return streaming
 
+    def _resolve_diagnoser(self, stored: Any, shared: Mapping[str, Any]):
+        """The diagnoser a snapshot's ``diagnoser`` entry names: a
+        sha256 resolved, in order, to this service's own diagnoser, one
+        in ``shared`` (keyed by sha256), or the default; none raises.
+        A version-1 entry embeds the diagnoser; None keeps the
+        service's own."""
+        if stored is None:
+            return self.diagnoser
+        from ..diagnosis import AnomalyDiagnoser, default_diagnoser
+
+        if isinstance(stored, Mapping):
+            embedded = AnomalyDiagnoser.from_dict(stored)
+            stored = embedded.sha256()
+            shared = {**shared, stored: embedded}
+        own = self.diagnoser
+        if own is not None and own.sha256() == stored:
+            return own
+        if stored in shared:
+            return shared[stored]
+        default = default_diagnoser()
+        if default.sha256() == stored:
+            return default
+        raise ValueError(
+            f"the checkpoint's diagnoser (sha256 {stored}) is neither the "
+            "service's own, one written with the fleet checkpoint, nor "
+            "the default diagnoser"
+        )
+
     def restore_snapshot(
-        self, snapshot: Mapping[str, Any]
+        self,
+        snapshot: Mapping[str, Any],
+        *,
+        shared_diagnosers: Optional[Mapping[str, Any]] = None,
     ) -> "MonitoringService":
         """Load a :meth:`snapshot` into this service.
 
@@ -742,17 +722,23 @@ class MonitoringService:
         detector bank the snapshot was taken with (typically via
         :func:`~repro.core.load_model` into ``service.opprentice``); the
         stream restore validates the bank through its feature names.
+        ``shared_diagnosers`` maps sha256 to the diagnosers a fleet
+        checkpoint wrote beside its KPIs.
+
+        One batch extraction over history + pending gives the training
+        matrix and the pending rows (stream == batch), and the forest's
+        votes on the pending rows are the pending scores. Version-1
+        snapshots, which embedded those and the diagnoser, are read
+        too; their embedded rows and scores are ignored.
         """
         version = snapshot.get("format_version")
-        if version != SERVICE_SNAPSHOT_VERSION:
+        if version not in (1, SERVICE_SNAPSHOT_VERSION):
             raise ValueError(
                 f"unsupported service snapshot version {version!r} "
                 f"(expected {SERVICE_SNAPSHOT_VERSION})"
             )
-        if (
-            self._opprentice.classifier_ is None
-            or self._opprentice.imputer_ is None
-        ):
+        opprentice = self._opprentice
+        if opprentice.classifier_ is None or opprentice.imputer_ is None:
             raise RuntimeError(
                 "restore_snapshot() needs a fitted model; load_model() "
                 "into service.opprentice first"
@@ -768,29 +754,41 @@ class MonitoringService:
                 labels=np.asarray(stored["labels"], dtype=np.int8),
                 name=stored["name"],
             )
+            pending_values = [float(v) for v in snapshot["pending"]["values"]]
+            seen = TimeSeries(
+                values=np.concatenate(
+                    [history.values, np.asarray(pending_values)]
+                ),
+                interval=history.interval,
+                start=history.start,
+                name=history.name,
+            )
             # A default-bank service has no configs until it sees a
             # series; derive them from the restored history so a plain
             # MonitoringService() can be rebuilt from model + snapshot
             # without re-bootstrapping.
-            self._opprentice.extractor.configs(history)
-            # The stream restore is the bank-compatibility gate: run it
-            # first so a mismatched checkpoint leaves the service
-            # untouched.
-            streaming = self._restore_streams(
-                snapshot["stream"], history, snapshot["pending"]["values"]
+            opprentice.extractor.configs(history)
+            # The stream restore is the bank-compatibility gate and the
+            # diagnoser lookup can fail too: run both first so a
+            # mismatched checkpoint leaves the service untouched.
+            streaming = self._restore_streams(snapshot["stream"], seen)
+            diagnoser = self._resolve_diagnoser(
+                snapshot.get("diagnoser"), shared_diagnosers or {}
             )
+            rows = opprentice.extractor.extract(seen).values
+            pending_rows = rows[len(history):]
+            pending_scores = opprentice.classifier_.predict_proba(
+                opprentice.imputer_.transform(pending_rows)
+            ).tolist()
             self._history = history
             self._label_windows = [
                 AnomalyWindow(int(begin), int(end))
                 for begin, end in snapshot["label_windows"]
             ]
             self._labeled_until = int(snapshot["labeled_until"])
-            pending = snapshot["pending"]
-            self._pending_values = [float(v) for v in pending["values"]]
-            self._pending_scores = [float(s) for s in pending["scores"]]
-            self._pending_rows = [
-                np.asarray(row, dtype=np.float64) for row in pending["rows"]
-            ]
+            self._pending_values = pending_values
+            self._pending_scores = pending_scores
+            self._pending_rows = list(pending_rows)
             run = snapshot["run"]
             self._run_begin = (
                 None if run["begin"] is None else int(run["begin"])
@@ -798,23 +796,14 @@ class MonitoringService:
             self._run_scores = [float(s) for s in run["scores"]]
             self._streaming = streaming
             self.min_duration_points = int(snapshot["min_duration_points"])
-            self._opprentice.cthld_predictor.restore(
+            self.diagnoser = diagnoser
+            opprentice.cthld_predictor.restore(
                 snapshot.get("cthld_predictor") or {}
             )
             # Re-prime the incremental-retraining caches: the fitted
-            # history and (when persisted) its raw feature rows.
-            self._opprentice._history = history
-            features = snapshot.get("train_features")
-            self._opprentice._feature_values = (
-                np.asarray(features, dtype=np.float64)
-                if features is not None
-                else None
-            )
-            diagnoser = snapshot.get("diagnoser")
-            if diagnoser is not None:
-                from ..diagnosis import AnomalyDiagnoser
-
-                self.diagnoser = AnomalyDiagnoser.from_dict(diagnoser)
+            # history and its raw feature rows.
+            opprentice._history = history
+            opprentice._feature_values = rows[: len(history)]
             stats = snapshot.get("stats") or {}
             self.stats.points_ingested = int(stats.get("points_ingested", 0))
             self.stats.anomalous_points = int(

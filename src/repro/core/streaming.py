@@ -89,7 +89,9 @@ class StreamingDetector:
                 "the Opprentice has no detector configs yet; fit it on a "
                 "series (or pass configs explicitly) first"
             )
-        self._configs = configs
+        #: The bank's feature columns, built once: every checkpoint
+        #: writes them and every restore checks them.
+        self._feature_names = [config.name for config in configs]
         # One fused stream per detector family (the Holt-Winters sweep
         # is a single vectorised update instead of 64 scalar ones), and
         # one checkpoint state per family — see StreamBank.
@@ -118,7 +120,7 @@ class StreamingDetector:
         return {
             "format_version": STREAM_CHECKPOINT_VERSION,
             "index": self._index,
-            "feature_names": [config.name for config in self._configs],
+            "feature_names": list(self._feature_names),
             "streams": self._bank.snapshot(),
         }
 
@@ -142,7 +144,7 @@ class StreamingDetector:
         """Raise unless ``names`` are this detector's feature columns,
         in order — the gate against restoring state taken over another
         bank."""
-        if list(names) != [config.name for config in self._configs]:
+        if list(names) != self._feature_names:
             raise ValueError(
                 "detector bank mismatch: the checkpoint was taken over a "
                 "different feature set"

@@ -9,8 +9,11 @@ on the injectors' free ground-truth kinds (:mod:`.training`), and the
 multiclass scoring the CI smoke job reports (:mod:`.evaluate`).
 
 `MonitoringService` attaches the predicted kind to every closed alert
-(``AlertEvent.diagnosis``), and the fitted diagnoser rides inside
-service checkpoints, so fleet shards and the serve plane diagnose
+(``AlertEvent.diagnosis``). A service checkpoint names its diagnoser by
+sha256 only; restore resolves the digest to the service's own
+diagnoser, a non-default one written once per fleet checkpoint, or
+:func:`default_diagnoser` (deterministic, so every process fits the
+same one). Fleet shards and the serve plane therefore diagnose
 identically after a crash-restore.
 """
 
@@ -20,6 +23,7 @@ from .features import CONTEXT_POINTS, FEATURE_NAMES, window_shape_features
 from .training import (
     default_diagnoser,
     fit_diagnoser,
+    is_default_diagnoser,
     series_period,
     training_corpus,
     window_training_rows,
@@ -33,6 +37,7 @@ __all__ = [
     "window_shape_features",
     "default_diagnoser",
     "fit_diagnoser",
+    "is_default_diagnoser",
     "series_period",
     "training_corpus",
     "window_training_rows",

@@ -7,12 +7,14 @@ kind, votes compared across kinds. Ties break on the alphabetically
 first kind, so predictions are deterministic.
 
 Like every model in the repo the fitted diagnoser serialises to plain
-JSON (:meth:`AnomalyDiagnoser.to_dict`), which is how it rides inside
-service checkpoints and across the serve plane's shard processes.
+JSON (:meth:`AnomalyDiagnoser.to_dict`). Service checkpoints name it by
+:meth:`AnomalyDiagnoser.sha256`; a fleet checkpoint writes a
+non-default diagnoser once, next to its KPIs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -40,7 +42,7 @@ class AnomalyDiagnoser:
         self.seed = seed
         self.kinds_: Optional[List[str]] = None
         self._forests: Dict[str, RandomForest] = {}
-        self._json: Optional[str] = None
+        self._sha256: Optional[str] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -58,7 +60,7 @@ class AnomalyDiagnoser:
                 f"need at least two anomaly kinds to fit, got {observed}"
             )
         labels = np.asarray(kinds)
-        self._json = None
+        self._sha256 = None
         self._forests = {}
         for offset, kind in enumerate(observed):
             forest = RandomForest(
@@ -127,17 +129,17 @@ class AnomalyDiagnoser:
             },
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, encoded once per fit.
+    def sha256(self) -> str:
+        """The hex sha256 of ``json.dumps(self.to_dict())``, computed
+        once per fit.
 
-        Every KPI of a shard shares one fitted diagnoser and writes it
-        into each service checkpoint; the text is kept on the diagnoser
-        itself, so the shard encodes it once until :meth:`fit` runs
-        again.
+        A service checkpoint stores this digest instead of the
+        diagnoser, and restore resolves it back to a fitted diagnoser.
         """
-        if self._json is None:
-            self._json = json.dumps(self.to_dict())
-        return self._json
+        if self._sha256 is None:
+            text = json.dumps(self.to_dict())
+            self._sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._sha256
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "AnomalyDiagnoser":

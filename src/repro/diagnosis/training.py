@@ -156,3 +156,12 @@ def default_diagnoser() -> AnomalyDiagnoser:
     seeded, *different* processes converge on bit-identical forests.
     """
     return fit_diagnoser(seed=0)
+
+
+def is_default_diagnoser(diagnoser: AnomalyDiagnoser) -> bool:
+    """Whether ``diagnoser`` is :func:`default_diagnoser`'s fit; False,
+    without fitting it, in a process that has not built the default."""
+    if default_diagnoser.cache_info().currsize == 0:
+        return False
+    default = default_diagnoser()
+    return diagnoser is default or diagnoser.sha256() == default.sha256()

@@ -72,6 +72,10 @@ _KPI_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
 ServiceFactory = Callable[[str], MonitoringService]
 
+#: The file under a fleet directory holding the non-default diagnosers
+#: its services carry, as ``{sha256: diagnoser dict}``.
+DIAGNOSER_FILE = "diagnoser.json"
+
 
 def _validate_kpi_id(kpi_id: str) -> str:
     if not _KPI_ID_PATTERN.match(kpi_id):
@@ -525,32 +529,38 @@ class FleetManager:
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
-    def save(
-        self,
-        directory: Union[str, Path],
-        *,
-        include_features: bool = True,
-    ) -> Path:
+    def save(self, directory: Union[str, Path]) -> Path:
         """Write the fleet to ``directory``: a ``fleet.json`` manifest
         (config, per-KPI lifecycle state, queued points) plus
         ``kpis/<id>/model.json`` and ``kpis/<id>/service.json``.
 
-        ``include_features=False`` shrinks the checkpoints at the cost
-        of one full refit per KPI on its first post-restore retrain.
+        Service checkpoints name their diagnoser by sha256. A diagnoser
+        other than :func:`~repro.diagnosis.default_diagnoser` is written
+        once for the whole fleet, to ``diagnoser.json`` (keyed by
+        digest), which :meth:`restore` reads; the default is fitted
+        again on restore and never written.
         """
+        from ..diagnosis import is_default_diagnoser
+
         root = Path(directory)
         obs = get_provider()
         with obs.span("fleet.save", n_kpis=len(self._kpis)):
             (root / "kpis").mkdir(parents=True, exist_ok=True)
             entries = []
+            shared: Dict[str, dict] = {}
             for kpi_id, handle in self._kpis.items():
+                diagnoser = handle.service.diagnoser
+                if not (
+                    diagnoser is None
+                    or diagnoser.sha256() in shared
+                    or is_default_diagnoser(diagnoser)
+                ):
+                    shared[diagnoser.sha256()] = diagnoser.to_dict()
                 kpi_dir = root / "kpis" / kpi_id
                 kpi_dir.mkdir(parents=True, exist_ok=True)
                 save_model(handle.service.opprentice, kpi_dir / "model.json")
                 save_service_checkpoint(
-                    handle.service,
-                    kpi_dir / "service.json",
-                    include_features=include_features,
+                    handle.service, kpi_dir / "service.json"
                 )
                 stats = handle.service.stats
                 entries.append(
@@ -598,6 +608,8 @@ class FleetManager:
                 "cycles": self._cycles,
                 "kpis": entries,
             }
+            if shared:
+                (root / DIAGNOSER_FILE).write_text(json.dumps(shared))
             (root / "fleet.json").write_text(json.dumps(manifest, indent=2))
         return root
 
@@ -661,6 +673,15 @@ class FleetManager:
             max_retries=config["max_retries"],
             service_factory=service_factory,
         )
+        shared = {}
+        if (root / DIAGNOSER_FILE).exists():
+            from ..diagnosis import AnomalyDiagnoser
+
+            # Keyed by the digest each entry really has, so a corrupt
+            # entry matches no checkpoint and its restore raises.
+            stored = json.loads((root / DIAGNOSER_FILE).read_text())
+            loaded = map(AnomalyDiagnoser.from_dict, stored.values())
+            shared = {diagnoser.sha256(): diagnoser for diagnoser in loaded}
         obs = get_provider()
         with obs.span("fleet.restore", n_kpis=len(manifest["kpis"])):
             for entry in manifest["kpis"]:
@@ -674,7 +695,11 @@ class FleetManager:
                 load_model(
                     kpi_dir / "model.json", opprentice=service.opprentice
                 )
-                load_service_checkpoint(kpi_dir / "service.json", service)
+                load_service_checkpoint(
+                    kpi_dir / "service.json",
+                    service,
+                    shared_diagnosers=shared,
+                )
                 manager.add_kpi(kpi_id, service=service)
                 handle = manager._kpis[kpi_id]
                 handle.state = entry["state"]

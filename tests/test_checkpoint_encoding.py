@@ -1,15 +1,16 @@
-"""Checkpoint files written from memoised parts stay byte-identical.
+"""Checkpoint files stay byte-identical to their plain encoding.
 
-``save_model`` and ``save_service_checkpoint`` write the forest, the
-training matrix and the diagnoser from JSON text their owners keep
-until the next fit, and write the document in fragments. The oracle is
-the plain encoding of the public payloads: ``json.dumps`` of
-``{"format_version": 1, "snapshot": service.snapshot(...)}`` and of the
+``save_model`` writes the forest from the JSON text it keeps until the
+next fit, and writes the document in fragments; ``save_service_checkpoint``
+writes the service's inputs, with the diagnoser named by its sha256.
+The oracle is the plain encoding of the public payloads: ``json.dumps``
+of ``{"format_version": 1, "snapshot": service.snapshot()}`` and of the
 ``save_model`` payload with ``forest.to_dict()`` inline. A seeded
 sequence of ingest, labels, retrain, restore and save must match it
 byte for byte after every step.
 """
 
+import hashlib
 import json
 import math
 from collections import deque
@@ -78,34 +79,39 @@ def oracle_model(opprentice) -> str:
     })
 
 
-def oracle_service(service, include_features) -> str:
-    return json.dumps({
-        "format_version": 1,
-        "snapshot": service.snapshot(include_features=include_features),
-    })
+def oracle_service(service) -> str:
+    return json.dumps({"format_version": 1, "snapshot": service.snapshot()})
 
 
-def save_and_check(service, directory, include_features):
+def save_and_check(service, directory):
     directory.mkdir(parents=True, exist_ok=True)
     save_model(service.opprentice, directory / "model.json")
-    save_service_checkpoint(
-        service, directory / "service.json",
-        include_features=include_features,
-    )
+    save_service_checkpoint(service, directory / "service.json")
     assert (directory / "model.json").read_bytes() == (
         oracle_model(service.opprentice).encode()
     )
     assert (directory / "service.json").read_bytes() == (
-        oracle_service(service, include_features).encode()
+        oracle_service(service).encode()
     )
 
 
-def restore_from(directory, series):
-    """A fresh service rebuilt from a saved pair; the diagnoser (if
-    any) comes back out of the checkpoint as a new object."""
-    clone = make_service(series)
+def restore_from(directory, series, diagnoser, factory_diagnoser):
+    """A fresh service rebuilt from a saved pair. With
+    ``factory_diagnoser`` the new service is built with ``diagnoser``
+    and the checkpoint's digest resolves to it; without, the digest
+    resolves through a copy handed over as a fleet checkpoint's shared
+    diagnoser."""
+    clone = make_service(
+        series, diagnoser=diagnoser if factory_diagnoser else None
+    )
+    shared = {}
+    if diagnoser is not None and not factory_diagnoser:
+        copy = AnomalyDiagnoser.from_dict(diagnoser.to_dict())
+        shared = {copy.sha256(): copy}
     load_model(directory / "model.json", opprentice=clone.opprentice)
-    load_service_checkpoint(directory / "service.json", clone)
+    load_service_checkpoint(
+        directory / "service.json", clone, shared_diagnosers=shared
+    )
     return clone
 
 
@@ -113,7 +119,7 @@ def restore_from(directory, series):
 # Seeded operation sequences
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "seed, with_diagnoser, include_features",
+    "seed, with_diagnoser, factory_diagnoser",
     [
         (0, True, True),
         (1, False, True),
@@ -123,13 +129,12 @@ def restore_from(directory, series):
 )
 def test_seeded_sequence_files_match_oracle(
     deployment, tiny_diagnoser, tmp_path,  # noqa: F811
-    seed, with_diagnoser, include_features,
+    seed, with_diagnoser, factory_diagnoser,
 ):
     series, truth, split = deployment
     rng = np.random.default_rng(seed)
-    service = make_service(
-        series, diagnoser=tiny_diagnoser if with_diagnoser else None
-    )
+    diagnoser = tiny_diagnoser if with_diagnoser else None
+    service = make_service(series, diagnoser=diagnoser)
     service.bootstrap(series.slice(0, split))
     position = split
     ops = ("ingest", "labels", "retrain", "restore")
@@ -152,12 +157,16 @@ def test_seeded_sequence_files_match_oracle(
             service.retrain()
         elif op == "restore":
             saved = tmp_path / f"restore-{step}"
-            save_and_check(service, saved, include_features)
-            service = restore_from(saved, series)
+            save_and_check(service, saved)
+            service = restore_from(
+                saved, series, tiny_diagnoser, factory_diagnoser
+            )
+            if with_diagnoser:
+                assert service.diagnoser.sha256() == tiny_diagnoser.sha256()
         else:
             continue
         done.add(op)
-        save_and_check(service, tmp_path / f"step-{step}", include_features)
+        save_and_check(service, tmp_path / f"step-{step}")
     assert done == set(ops)
     assert service.stats.retrain_rounds >= 1
 
@@ -165,15 +174,18 @@ def test_seeded_sequence_files_match_oracle(
 def test_fleet_files_match_oracle_and_survive_restore(
     deployment, tiny_diagnoser, tmp_path, monkeypatch,  # noqa: F811
 ):
-    """Two KPIs sharing one diagnoser: the diagnoser is encoded once
-    for the whole fleet, every per-KPI file matches the oracle, and a
-    restored fleet writes the same bytes again."""
+    """Two KPIs sharing one diagnoser: it is written once per fleet
+    checkpoint, to ``diagnoser.json``, every per-KPI file matches the
+    oracle, and a fleet restored through a factory without a diagnoser
+    resolves it from that file and writes the same bytes again."""
     series, truth, split = deployment
     fleet = FleetManager(n_shards=1, batch_points=8)
     for kpi_id in ("kpi-a", "kpi-b"):
         service = make_service(series, diagnoser=tiny_diagnoser)
-        fleet.add_kpi(kpi_id, service=service, bootstrap=series.slice(0, split))
-    tiny_diagnoser._json = None  # count from a cold memo
+        fleet.add_kpi(
+            kpi_id, service=service, bootstrap=series.slice(0, split)
+        )
+    digest = tiny_diagnoser.sha256()
     encodes = []
     to_dict = AnomalyDiagnoser.to_dict
     monkeypatch.setattr(
@@ -189,8 +201,11 @@ def test_fleet_files_match_oracle_and_survive_restore(
                 service.opprentice
             )
             assert (kpi_dir / "service.json").read_text() == oracle_service(
-                service, True
+                service
             )
+        assert json.loads((directory / "diagnoser.json").read_text()) == {
+            digest: to_dict(tiny_diagnoser)
+        }
 
     for round_ in range(3):
         for kpi_id in fleet.kpi_ids:
@@ -199,7 +214,7 @@ def test_fleet_files_match_oracle_and_survive_restore(
         fleet.drain_all()
         encodes.clear()
         fleet.save(tmp_path / f"round-{round_}")
-        assert encodes == ([id(tiny_diagnoser)] if round_ == 0 else [])
+        assert encodes == [id(tiny_diagnoser)]
         check(tmp_path / f"round-{round_}")
         if round_ == 1:
             for kpi_id in fleet.kpi_ids:
@@ -210,8 +225,11 @@ def test_fleet_files_match_oracle_and_survive_restore(
     restored = FleetManager.restore(
         saved, service_factory=lambda kpi_id: make_service(series)
     )
+    shared = restored.service("kpi-a").diagnoser
+    assert shared is restored.service("kpi-b").diagnoser
+    assert shared is not tiny_diagnoser and shared.sha256() == digest
     restored.save(tmp_path / "again")
-    for name in ("fleet.json", "kpis/kpi-a/model.json",
+    for name in ("fleet.json", "diagnoser.json", "kpis/kpi-a/model.json",
                  "kpis/kpi-a/service.json", "kpis/kpi-b/service.json"):
         assert (tmp_path / "again" / name).read_bytes() == (
             saved / name
@@ -221,32 +239,27 @@ def test_fleet_files_match_oracle_and_survive_restore(
 # ----------------------------------------------------------------------
 # Memo lifetime
 # ----------------------------------------------------------------------
-def test_retrain_replaces_forest_and_feature_text(deployment, tmp_path):
+def test_retrain_replaces_forest_text(deployment, tmp_path):
     series, truth, split = deployment
     service = make_service(series)
     service.bootstrap(series.slice(0, split))
     for value in series.values[split:split + 48]:
         service.ingest(float(value))
-    save_and_check(service, tmp_path / "before", True)
+    save_and_check(service, tmp_path / "before")
     opprentice = service.opprentice
     old_forest = opprentice.classifier_
     old_forest_text = old_forest.to_json()
-    old_feature_text = opprentice.feature_values_json()
     assert old_forest.to_json() is old_forest_text
-    assert opprentice.feature_values_json() is old_feature_text
 
     service.submit_labels(
         [w for w in truth if split <= w.begin and w.end <= split + 48]
     )
     service.retrain()
-    # The refit dropped the matrix memo and built a new forest.
-    assert opprentice._features_json is None
+    # The refit built a new forest with a cold memo.
     assert opprentice.classifier_ is not old_forest
     assert opprentice.classifier_._json is None
-    save_and_check(service, tmp_path / "after", True)
+    save_and_check(service, tmp_path / "after")
     assert opprentice.classifier_.to_json() != old_forest_text
-    assert opprentice.feature_values_json() != old_feature_text
-    assert len(opprentice.feature_values_json()) > len(old_feature_text)
 
 
 def test_refit_in_place_drops_forest_and_diagnoser_memo():
@@ -260,39 +273,18 @@ def test_refit_in_place_drops_forest_and_diagnoser_memo():
     assert forest._json is None
     assert forest.to_json() == json.dumps(forest.to_dict()) != text
 
+    def plain_sha256(diagnoser):
+        text = json.dumps(diagnoser.to_dict())
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     kinds = ["spike" if x > 0 else "dip" for x in features[:, 1]]
     diagnoser = AnomalyDiagnoser(n_estimators=3).fit(features, kinds)
-    text = diagnoser.to_json()
-    assert text == json.dumps(diagnoser.to_dict())
+    digest = diagnoser.sha256()
+    assert digest == plain_sha256(diagnoser)
+    assert diagnoser.sha256() is digest
     diagnoser.fit(features[:40], kinds[:40])
-    assert diagnoser._json is None
-    assert diagnoser.to_json() == json.dumps(diagnoser.to_dict()) != text
-
-
-def test_restore_drops_feature_memo(deployment, tmp_path):
-    series, _, split = deployment
-    service = make_service(series)
-    service.bootstrap(series.slice(0, split))
-    save_and_check(service, tmp_path / "saved", True)
-    assert service.opprentice._features_json is not None
-    service.restore_snapshot(service.snapshot())
-    assert service.opprentice._features_json is None
-
-
-def test_snapshot_public_output_unchanged_by_memo(deployment, tmp_path):
-    """snapshot() stays plain lists and dicts, equal to the per-float
-    encoding the parent used."""
-    series, _, split = deployment
-    service = make_service(series)
-    service.bootstrap(series.slice(0, split))
-    save_and_check(service, tmp_path, True)
-    snapshot = service.snapshot()
-    features = service.opprentice._feature_values
-    assert json.dumps(snapshot["train_features"]) == json.dumps(
-        [[float(x) for x in row] for row in features]
-    )
-    with pytest.raises(TypeError):
-        json.dumps(service.snapshot(memoised=True))
+    assert diagnoser._sha256 is None
+    assert diagnoser.sha256() == plain_sha256(diagnoser) != digest
 
 
 # ----------------------------------------------------------------------

@@ -16,21 +16,37 @@ per-config states inside the window bank (and SVD and wavelet, which
 checkpoint by replaying the history and pending points they had seen;
 the restored service must then reach the same decisions as a twin that
 never stopped. Each check runs on both pairs.
+
+``tests/data/service_checkpoint_v1`` is a one-KPI fleet directory
+(``fleet.json``, ``kpis/ckpt-kpi/model.json`` and ``service.json``)
+written by ``FleetManager.save`` of the code whose service snapshots
+were version 1: the same service and cut, with the default diagnoser
+attached. Its ``service.json`` embeds the training matrix, the pending
+rows and scores, and the whole diagnoser. The current reader derives
+the first three by one batch extraction and reads the diagnoser from
+the dict; the restored service must then decide, alert and retrain
+exactly as the twin does.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    SERVICE_SNAPSHOT_VERSION,
     STREAM_CHECKPOINT_VERSION,
     MonitoringService,
     StreamingDetector,
     load_model,
     load_service_checkpoint,
+    save_model,
 )
 from repro.data import SeasonalProfile, generate_kpi, inject_anomalies
+from repro.fleet import FleetManager
+from repro.timeseries import points_to_windows
 
 from test_opprentice import fast_forest, small_bank
 
@@ -61,11 +77,12 @@ def deployment():
     return series, 3 * series.points_per_week
 
 
-def make_service(series):
+def make_service(series, diagnoser=None):
     return MonitoringService(
         configs=small_bank(series.points_per_week),
         classifier_factory=fast_forest,
         min_duration_points=2,
+        diagnoser=diagnoser,
     )
 
 
@@ -110,8 +127,7 @@ def resumes_like_an_undisturbed_twin(version, deployment):
     assert expected, "the open run never closed"
     assert actual == expected
     assert restored.stats.as_dict() == twin.stats.as_dict()
-    after = restored.snapshot()["pending"]["scores"][LIVE_AT_CUT:]
-    assert after == twin.snapshot()["pending"]["scores"][LIVE_AT_CUT:]
+    assert restored._pending_scores == twin._pending_scores
     written = restored.snapshot()["stream"]["format_version"]
     assert written == STREAM_CHECKPOINT_VERSION == 3
 
@@ -159,3 +175,87 @@ def test_v1_replay_checks_the_bank(deployment):
 
 def test_v2_replay_checks_the_bank(deployment):
     replay_checks_the_bank(2, deployment)
+
+
+# ----------------------------------------------------------------------
+# Version-1 service checkpoints (embedded derived parts and diagnoser)
+# ----------------------------------------------------------------------
+SERVICE_V1 = DATA / "service_checkpoint_v1"
+
+
+def service_v1_snapshot():
+    path = SERVICE_V1 / "kpis" / "ckpt-kpi" / "service.json"
+    return json.loads(path.read_text())["snapshot"]
+
+
+def test_fixture_is_a_version_1_service_checkpoint():
+    snapshot = service_v1_snapshot()
+    assert snapshot["format_version"] == 1
+    assert len(snapshot["pending"]["values"]) == LIVE_AT_CUT
+    assert len(snapshot["pending"]["rows"]) == LIVE_AT_CUT
+    assert snapshot["train_features"]
+    assert snapshot["run"]["begin"] is not None
+    assert snapshot["diagnoser"]["kinds"]
+
+
+def model_digest(service, path):
+    save_model(service.opprentice, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_v1_service_checkpoint_resumes_like_an_undisturbed_twin(
+    deployment, tmp_path
+):
+    from repro.diagnosis import default_diagnoser
+
+    series, split = deployment
+    cut = split + LIVE_AT_CUT
+    twin = make_service(series, diagnoser=default_diagnoser())
+    twin.bootstrap(series.slice(0, split))
+    for value in series.values[split:cut]:
+        twin.ingest(float(value))
+
+    fleet = FleetManager.restore(
+        SERVICE_V1, service_factory=lambda kpi_id: make_service(series)
+    )
+    restored = fleet.service("ckpt-kpi")
+    assert restored.diagnoser.sha256() == default_diagnoser().sha256()
+    assert restored._run_begin == twin._run_begin is not None
+    assert restored._pending_scores == twin._pending_scores
+    assert len(restored._pending_rows) == LIVE_AT_CUT
+    for mine, theirs in zip(restored._pending_rows, twin._pending_rows):
+        np.testing.assert_array_equal(mine, theirs)
+    np.testing.assert_array_equal(
+        restored.opprentice._feature_values, twin.opprentice._feature_values
+    )
+
+    retrain_at = cut + 84
+    expected, actual = [], []
+    for value in series.values[cut:retrain_at]:
+        expected.extend(twin.ingest(float(value)))
+        actual.extend(restored.ingest(float(value)))
+    assert [e.diagnosis for e in expected if e.kind == "closed"]
+    assert actual == expected
+
+    windows = [
+        w for w in points_to_windows(series.labels)
+        if w.begin >= split and w.end <= retrain_at
+    ]
+    twin.submit_labels(windows)
+    restored.submit_labels(windows)
+    assert restored.retrain() == twin.retrain()
+    assert model_digest(restored, tmp_path / "restored.json") == (
+        model_digest(twin, tmp_path / "twin.json")
+    )
+    expected, actual = [], []
+    for value in series.values[retrain_at:]:
+        expected.extend(twin.ingest(float(value)))
+        actual.extend(restored.ingest(float(value)))
+    assert actual == expected
+    assert restored.stats.as_dict() == twin.stats.as_dict()
+
+    # The restored service writes the current version, which names the
+    # diagnoser by digest instead of embedding it.
+    written = restored.snapshot()
+    assert written["format_version"] == SERVICE_SNAPSHOT_VERSION == 2
+    assert written["diagnoser"] == default_diagnoser().sha256()

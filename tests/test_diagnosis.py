@@ -215,9 +215,10 @@ class TestServiceDiagnosis:
     def test_diagnosis_survives_checkpoint_bit_identically(
         self, diagnosing_run, tmp_path
     ):
-        """Restore into a bare twin (no diagnoser given: it must come
-        back from the snapshot) and stream the same remainder through
-        both — every diagnosis must match the original run exactly."""
+        """Restore into a bare twin (no diagnoser given: the snapshot's
+        digest must resolve to the copy a fleet checkpoint writes
+        beside its KPIs) and stream the same remainder through both —
+        every diagnosis must match the original run exactly."""
         service, _, series, split = diagnosing_run
         checkpoint_at = split + 60
         original = MonitoringService(
@@ -238,8 +239,12 @@ class TestServiceDiagnosis:
             classifier_factory=fast_forest,
         )
         load_model(model_path, opprentice=clone.opprentice)
-        clone.restore_snapshot(original.snapshot())
-        assert clone.diagnoser is not None
+        written = AnomalyDiagnoser.from_dict(original.diagnoser.to_dict())
+        clone.restore_snapshot(
+            original.snapshot(),
+            shared_diagnosers={written.sha256(): written},
+        )
+        assert clone.diagnoser is written
         assert clone.diagnoser.to_dict() == original.diagnoser.to_dict()
         assert clone.stats.alerts_diagnosed == at_checkpoint
 

@@ -84,7 +84,7 @@ def test_gradient_boosting(data):
 
 def test_default_diagnoser():
     diagnoser = default_diagnoser()
-    assert _sha(diagnoser.to_json()) == (
+    assert _sha(json.dumps(diagnoser.to_dict())) == diagnoser.sha256() == (
         "bf736549afe90490758ea80b120e0b14a0ee568221a9fffc2e8533e3de352349"
     )
     features, _ = training_corpus(seed=1, weeks=1.0, repeats=2)

@@ -5,8 +5,15 @@ fresh service reproduces the uninterrupted service's *future* exactly —
 the remaining alert stream bit for bit, including an alert run that was
 still open at checkpoint time, the pending buffers feeding the next
 retraining round, and the EWMA cThld predictor's state.
+
+A checkpoint stores the service's inputs only. The training matrix and
+the pending rows and scores are derived on restore by one batch
+extraction and one forest vote, and the diagnoser is named by sha256;
+the tests below pin that the derived parts equal the live ones bit for
+bit and that the diagnoser digest resolves as documented.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +27,7 @@ from repro.core import (
     save_service_checkpoint,
 )
 
+from test_diagnosis import tiny_diagnoser  # noqa: F401  (fixture)
 from test_opprentice import fast_forest, small_bank
 
 
@@ -53,13 +61,13 @@ def make_service(series, **kwargs):
     )
 
 
-def restore_clone(original, series, tmp_path, **snapshot_kwargs):
+def restore_clone(original, series, tmp_path):
     """Clone ``original`` through the public model + snapshot path."""
     model_path = tmp_path / "model.json"
     save_model(original.opprentice, model_path)
     clone = make_service(series)
     load_model(model_path, opprentice=clone.opprentice)
-    clone.restore_snapshot(original.snapshot(**snapshot_kwargs))
+    clone.restore_snapshot(original.snapshot())
     return clone
 
 
@@ -135,41 +143,6 @@ class TestResumeEquivalence:
         for value in series.values[checkpoint_at:checkpoint_at + 24]:
             expected.extend(service.ingest(float(value)))
             actual.extend(clone.ingest(float(value)))
-        assert actual == expected
-
-    def test_snapshot_without_features_falls_back_to_full_refit(
-        self, deployment, tmp_path
-    ):
-        series, truth_windows, split = deployment
-        checkpoint_at = split + 100
-        service = make_service(series)
-        service.bootstrap(series.slice(0, split))
-        for value in series.values[split:checkpoint_at]:
-            service.ingest(float(value))
-
-        slim = restore_clone(
-            service, series, tmp_path, include_features=False
-        )
-        assert slim.opprentice._feature_values is None
-        # The slim snapshot really is smaller.
-        full_size = len(json.dumps(service.snapshot()))
-        slim_size = len(json.dumps(service.snapshot(include_features=False)))
-        assert slim_size < full_size
-
-        windows = [
-            w for w in truth_windows
-            if w.begin >= split and w.end <= checkpoint_at
-        ]
-        service.submit_labels(windows)
-        slim.submit_labels(windows)
-        # Incremental (cached features) and full-refit paths converge —
-        # the same equivalence the retrain tests pin — so the slim
-        # restore retrains to the same threshold and decisions.
-        assert slim.retrain() == service.retrain()
-        expected, actual = [], []
-        for value in series.values[checkpoint_at:checkpoint_at + 24]:
-            expected.extend(service.ingest(float(value)))
-            actual.extend(slim.ingest(float(value)))
         assert actual == expected
 
     def test_ewma_predictor_state_round_trips(self, deployment, tmp_path):
@@ -281,3 +254,227 @@ class TestCheckpointFiles:
         series, _, _ = deployment
         with pytest.raises(RuntimeError, match="bootstrap"):
             make_service(series).snapshot()
+
+
+# ----------------------------------------------------------------------
+# Derived parts: checkpoints at 0, 1 and 672 pending points
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def long_deployment():
+    """7 weeks of hourly KPI: 2 bootstrap weeks, then up to 4 weeks
+    pending before a checkpoint and one more week after it."""
+    from repro.data import SeasonalProfile, generate_kpi, inject_anomalies
+
+    generated = generate_kpi(
+        weeks=7,
+        interval=3600,
+        profile=SeasonalProfile(base_level=100.0, daily_amplitude=0.5,
+                                noise_scale=0.02, trend=0.0),
+        seed=61,
+        name="derive-kpi",
+    )
+    result = inject_anomalies(
+        generated.series, target_fraction=0.06, seed=62, mean_window=4.0
+    )
+    return result.series, result.windows, 2 * result.series.points_per_week
+
+
+def model_digest(service, path):
+    save_model(service.opprentice, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestDerivedParts:
+    @pytest.mark.parametrize("pending", [0, 1, 672])
+    def test_restore_equals_undisturbed_twin(
+        self, long_deployment, tmp_path, pending
+    ):
+        series, truth, split = long_deployment
+        cut = split + pending
+        twin = make_service(series)
+        twin.bootstrap(series.slice(0, split))
+        for value in series.values[split:cut]:
+            twin.ingest(float(value))
+        save_model(twin.opprentice, tmp_path / "model.json")
+        save_service_checkpoint(twin, tmp_path / "service.json")
+        restored = make_service(series)
+        load_model(tmp_path / "model.json", opprentice=restored.opprentice)
+        load_service_checkpoint(tmp_path / "service.json", restored)
+
+        # The derived parts equal the live ones bit for bit.
+        assert restored.pending_points == pending
+        assert restored._pending_scores == twin._pending_scores
+        assert len(restored._pending_rows) == pending
+        for mine, theirs in zip(restored._pending_rows, twin._pending_rows):
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(
+            restored.opprentice._feature_values,
+            twin.opprentice._feature_values,
+        )
+
+        # Every later decision, alert and retrain agrees.
+        resume = cut + 168
+        expected, actual = [], []
+        for value in series.values[cut:resume]:
+            expected.extend(twin.ingest(float(value)))
+            actual.extend(restored.ingest(float(value)))
+        assert actual == expected
+        assert restored._pending_scores == twin._pending_scores
+        windows = [
+            w for w in truth if w.begin >= split and w.end <= resume
+        ]
+        twin.submit_labels(windows)
+        restored.submit_labels(windows)
+        assert restored.retrain() == twin.retrain()
+        assert model_digest(restored, tmp_path / "restored.json") == (
+            model_digest(twin, tmp_path / "twin.json")
+        )
+        expected, actual = [], []
+        for value in series.values[resume:resume + 24]:
+            expected.extend(twin.ingest(float(value)))
+            actual.extend(restored.ingest(float(value)))
+        assert actual == expected
+        assert restored.stats.as_dict() == twin.stats.as_dict()
+
+    def test_checkpoint_holds_no_derived_parts(self, deployment):
+        series, _, split = deployment
+        service = make_service(series)
+        service.bootstrap(series.slice(0, split))
+        for value in series.values[split:split + 5]:
+            service.ingest(float(value))
+        snapshot = service.snapshot()
+        assert snapshot["format_version"] == 2
+        assert snapshot["pending"] == {
+            "values": [float(v) for v in series.values[split:split + 5]]
+        }
+        assert "train_features" not in snapshot
+        assert snapshot["diagnoser"] is None
+
+
+# ----------------------------------------------------------------------
+# Diagnoser digest resolution
+# ----------------------------------------------------------------------
+def diagnosing_run(series, split, diagnoser, tmp_path):
+    """Bootstrap with ``diagnoser``, ingest up to the middle of the
+    first alert run that closes, and save the pair there."""
+    service = make_service(series, diagnoser=diagnoser)
+    service.bootstrap(series.slice(0, split))
+    position = split
+    while service._run_begin is None or service.stats.alerts_opened == 0:
+        service.ingest(float(series.values[position]))
+        position += 1
+    save_model(service.opprentice, tmp_path / "model.json")
+    save_service_checkpoint(service, tmp_path / "service.json")
+    return service, position
+
+
+def restore_pair(series, tmp_path, diagnoser=None, **kwargs):
+    clone = make_service(series, diagnoser=diagnoser)
+    load_model(tmp_path / "model.json", opprentice=clone.opprentice)
+    load_service_checkpoint(tmp_path / "service.json", clone, **kwargs)
+    return clone
+
+
+class TestDiagnoserDigest:
+    def test_default_diagnoser_restores_through_a_factory_without_one(
+        self, deployment, tmp_path
+    ):
+        """The benchmark twin's shape: the checkpoint names the default
+        diagnoser, the factory builds services without one, and the
+        restored service still diagnoses every closed alert alike."""
+        from repro.diagnosis import default_diagnoser
+
+        series, _, split = deployment
+        service, position = diagnosing_run(
+            series, split, default_diagnoser(), tmp_path
+        )
+        saved = json.loads((tmp_path / "service.json").read_text())
+        assert saved["snapshot"]["diagnoser"] == default_diagnoser().sha256()
+        clone = restore_pair(series, tmp_path)
+        assert clone.diagnoser is default_diagnoser()
+        expected, actual = [], []
+        for value in series.values[position:]:
+            expected.extend(service.ingest(float(value)))
+            actual.extend(clone.ingest(float(value)))
+        diagnoses = [e.diagnosis for e in expected if e.kind == "closed"]
+        assert diagnoses and all(diagnoses)
+        assert actual == expected
+
+    def test_own_and_shared_diagnosers_resolve(
+        self, deployment, tmp_path, tiny_diagnoser
+    ):
+        from repro.diagnosis import AnomalyDiagnoser
+
+        series, _, split = deployment
+        diagnosing_run(series, split, tiny_diagnoser, tmp_path)
+        own = restore_pair(series, tmp_path, diagnoser=tiny_diagnoser)
+        assert own.diagnoser is tiny_diagnoser
+        copy = AnomalyDiagnoser.from_dict(tiny_diagnoser.to_dict())
+        shared = restore_pair(
+            series, tmp_path,
+            shared_diagnosers={copy.sha256(): copy},
+        )
+        assert shared.diagnoser is copy
+
+    def test_unknown_digest_raises_and_leaves_the_service_alone(
+        self, deployment, tmp_path, tiny_diagnoser
+    ):
+        series, _, split = deployment
+        diagnosing_run(series, split, tiny_diagnoser, tmp_path)
+        clone = make_service(series)
+        load_model(tmp_path / "model.json", opprentice=clone.opprentice)
+        with pytest.raises(ValueError, match="diagnoser"):
+            load_service_checkpoint(tmp_path / "service.json", clone)
+        assert clone.kpi is None and clone.diagnoser is None
+
+
+# ----------------------------------------------------------------------
+# Checkpoint size: one value per pending point
+# ----------------------------------------------------------------------
+#: Upper bound on the service.json bytes one pending point adds: its
+#: value as JSON text and a separator (~20 B), with slack for counters
+#: whose digit count grows.
+BYTES_PER_PENDING_POINT = 25
+
+
+def test_service_json_grows_by_the_pending_values_only(tmp_path):
+    """Full Table 3 bank and default forest on SRT after a two-week
+    bootstrap. The file used to carry a 133-column severity row per
+    pending point (~2.5 kB each); now, at 0, 168 and 672 pending
+    points, everything but the stream state grows by at most ~25 B per
+    pending point. The stream state is bounded by the bank, not by
+    the pending points: the historical and seasonal-residual rings
+    still fill up to five weeks here, and once they are full (by 672
+    pending points) the whole file grows by the pending values only.
+    """
+    from repro.data import make_srt
+
+    series = make_srt(weeks=7).series
+    split = 2 * series.points_per_week
+    service = MonitoringService(min_duration_points=2)
+    service.bootstrap(series.slice(0, split))
+    sizes, stream_sizes = {}, {}
+    position = split
+    for pending in (0, 168, 672, 840):
+        for value in series.values[position:split + pending]:
+            service.ingest(float(value))
+        position = split + pending
+        path = tmp_path / f"service-{pending}.json"
+        save_service_checkpoint(service, path)
+        sizes[pending] = path.stat().st_size
+        stream_sizes[pending] = len(
+            json.dumps(json.loads(path.read_text())["snapshot"]["stream"])
+        )
+    assert service.pending_points == 840
+
+    def per_point(low, high, stream=True):
+        grown = sizes[high] - sizes[low]
+        if not stream:
+            grown -= stream_sizes[high] - stream_sizes[low]
+        return grown / (high - low)
+
+    for low, high in ((0, 168), (168, 672)):
+        assert per_point(low, high, stream=False) <= (
+            BYTES_PER_PENDING_POINT
+        ), (sizes, stream_sizes)
+    assert per_point(672, 840) <= BYTES_PER_PENDING_POINT, sizes
