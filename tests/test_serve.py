@@ -392,11 +392,13 @@ class TestNetworkedDiagnosis:
     def test_kind_sequence_matches_in_process_twin_across_kill9(
         self, template, tmp_path, fleet_kpi
     ):
-        """With a diagnoser in every service checkpoint, alert events
-        crossing the shard protocol carry the same diagnosis sequence
-        an in-process twin produces — and a SIGKILL mid-stream does not
-        change a single kind, because the fitted diagnoser rides the
-        shard checkpoints through the re-fork."""
+        """With a non-default diagnoser on every service (loaded from
+        a template snapshot that embeds it, as version-1 snapshots
+        did), alert events crossing the shard protocol carry the same
+        diagnosis sequence an in-process twin produces — and a SIGKILL
+        mid-stream does not change a single kind, because each shard
+        checkpoint writes the diagnoser once (``diagnoser.json``) and
+        the re-forked shard resolves every service's digest to it."""
         import copy
 
         from repro.diagnosis import fit_diagnoser
