@@ -43,6 +43,7 @@ warning.
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -85,17 +87,66 @@ class DetectorError(ValueError):
 _FLOAT_ONLY = frozenset({float})
 
 
+class ValueRing:
+    """The last ``maxlen`` values a stream has seen, oldest first, as one
+    contiguous array.
+
+    Each value is written at ``i`` and ``i + maxlen`` of a
+    ``2 * maxlen`` buffer, so :meth:`view` is a slice of it: an append
+    costs O(1), where reading a ``deque`` as an array copies all
+    ``maxlen`` values. A ring checkpoints as the ``deque`` entry it
+    replaced (:func:`_encode_state`), and such an entry loads back into
+    it (:meth:`_StreamState.restore`).
+    """
+
+    __slots__ = ("maxlen", "_buffer", "_position", "_size")
+
+    def __init__(self, maxlen: int, values: Iterable[float] = ()):
+        self.maxlen = maxlen
+        self._buffer = np.full(2 * maxlen, np.nan)
+        held = np.asarray(list(values), dtype=np.float64)[-maxlen:]
+        self._size = len(held)
+        self._buffer[: self._size] = held
+        self._buffer[maxlen: maxlen + self._size] = held
+        #: Where the next value goes.
+        self._position = self._size % maxlen
+
+    def append(self, value: float) -> None:
+        position = self._position
+        self._buffer[position] = value
+        self._buffer[position + self.maxlen] = value
+        self._position = position + 1 if position + 1 < self.maxlen else 0
+        if self._size < self.maxlen:
+            self._size += 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def view(self) -> np.ndarray:
+        """The held values, oldest first: a view of the buffer, valid
+        until the next :meth:`append`."""
+        end = self._position + self.maxlen
+        return self._buffer[end - self._size: end]
+
+
 def _encode_state(value: Any) -> Any:
     """Encode one stream attribute into JSON-serializable form.
 
     Numpy arrays and deques carry a kind tag so :func:`_decode_state`
-    can rebuild them exactly (including a deque's ``maxlen``); plain
+    can rebuild them exactly (including a deque's ``maxlen``); a
+    :class:`ValueRing` is stored as the deque of its values. Plain
     scalars, strings, None and lists pass through. NaN is a legal float
     here — severity buffers legitimately contain NaN — and survives the
     round trip via JSON's (non-strict) NaN token.
     """
     if isinstance(value, np.ndarray):
         return {"__kind__": "ndarray", "values": value.tolist()}
+    if isinstance(value, ValueRing):
+        return {
+            "__kind__": "deque",
+            "maxlen": value.maxlen,
+            "values": value.view().tolist(),
+        }
     if isinstance(value, deque):
         # Severity and value rings hold nothing but floats; copy those
         # in one pass instead of walking every item.
@@ -138,6 +189,19 @@ def _decode_state(value: Any) -> Any:
     if isinstance(value, list):
         return [_decode_state(item) for item in value]
     return value
+
+
+def _adopt(current: Any, decoded: Any) -> Any:
+    """A decoded attribute in the container the fresh stream keeps: a
+    ``deque`` entry loads into the :class:`ValueRing` (or the list of
+    rings) the stream holds in its place."""
+    if isinstance(current, ValueRing):
+        return ValueRing(decoded.maxlen, decoded)
+    if isinstance(current, list) and any(
+        isinstance(item, ValueRing) for item in current
+    ):
+        return [_adopt(mine, theirs) for mine, theirs in zip(current, decoded)]
+    return decoded
 
 
 class _StreamState:
@@ -185,7 +249,7 @@ class _StreamState:
             if isinstance(driven, _StreamState):
                 driven.restore(value)
             else:
-                setattr(self, key, _decode_state(value))
+                setattr(self, key, _adopt(driven, _decode_state(value)))
         return self
 
     def buffered_points(self) -> int:
@@ -194,7 +258,7 @@ class _StreamState:
         Bounded streams keep this flat no matter how long they run."""
         total = 0
         for value in self.__dict__.values():
-            if isinstance(value, (list, deque, np.ndarray)):
+            if isinstance(value, (list, deque, np.ndarray, ValueRing)):
                 total += len(value)
             elif isinstance(value, _StreamState):
                 total += value.buffered_points()
@@ -703,13 +767,18 @@ class SamePhaseDetector(FamilyDetector):
     ``lag`` points apart over the previous ``n_lags`` periods (the same
     time of week for TSD, the same time of day for historical).
 
-    Subclasses define ``lag``, ``n_lags`` and :meth:`_score_columns`;
-    the family's :class:`SamePhaseEvaluator` scores both modes with the
-    same kernel.
+    Subclasses define ``lag``, ``n_lags``, :attr:`statistics` and
+    :meth:`_score_columns`; the family's :class:`SamePhaseEvaluator`
+    computes each window's statistics once and scores both modes with
+    the same kernel.
     """
 
     lag: int
     n_lags: int
+
+    #: The history statistics :meth:`_score_columns` reads, named as in
+    #: :func:`same_phase_statistics`.
+    statistics: Tuple[str, ...] = ()
 
     def warmup(self) -> int:
         return self.n_lags * self.lag
@@ -719,19 +788,67 @@ class SamePhaseDetector(FamilyDetector):
         scoring needs (the historical scale floor), or None."""
         return None
 
+    @classmethod
     @abc.abstractmethod
     def _score_columns(
-        self, tail: np.ndarray, history: np.ndarray, state: Optional[float]
+        cls,
+        tail: np.ndarray,
+        stats: Mapping[str, np.ndarray],
+        state: Any,
     ) -> np.ndarray:
-        """Severity of each post-warm-up point of ``tail`` given its
-        same-phase ``history`` row and the :meth:`_prefix_state`."""
+        """Severity of each point of ``tail`` given the :attr:`statistics`
+        of its same-phase history and the :meth:`_prefix_state` of its
+        window. Elementwise, so the stream scores every warm window of
+        one point in one call: ``stats`` and ``state`` then hold one
+        entry per window. A class method, because the window's
+        statistics are all a config's severity depends on."""
+
+
+def same_phase_statistics(
+    history: np.ndarray, names: Iterable[str]
+) -> Dict[str, np.ndarray]:
+    """The named statistics of each row of a same-phase history matrix,
+    NaN for a row holding no observed value: ``mean`` and ``std``
+    (:func:`row_nanmean`, :func:`row_nanstd`), ``median``
+    (:func:`row_nanmedian`) and ``mad``, the median absolute deviation
+    from the median."""
+    names = set(names)
+    stats: Dict[str, np.ndarray] = {}
+    if "mean" in names:
+        stats["mean"] = row_nanmean(history)
+    if "std" in names:
+        stats["std"] = row_nanstd(history)
+    if names & {"median", "mad"}:
+        with np.errstate(invalid="ignore"):
+            median = row_nanmedian(history)
+            if "mad" in names:
+                stats["mad"] = row_nanmedian(
+                    np.abs(history - median[:, np.newaxis])
+                )
+        stats["median"] = median
+    return stats
+
+
+class _SamePhasePlan(NamedTuple):
+    """How :meth:`SamePhaseEvaluator.score_point` scores a point whose
+    first ``len(lengths)`` windows are warm."""
+
+    #: History length of each warm window, ascending.
+    lengths: List[int]
+    #: ``lengths - 1``: where each window's count sits in a cumulative count.
+    ends: np.ndarray
+    #: ``inside[g, k]``: column ``k`` of the row lies in window ``g``.
+    inside: np.ndarray
+    #: ``(detector class, its windows, its family columns)`` per class.
+    scorers: List[Tuple[type, Any, np.ndarray]]
 
 
 class SamePhaseEvaluator(FamilyEvaluator):
-    """Fused pass over a same-phase family: one history gather and one
-    prefix statistic per window size feed every config of that size.
-    Its stream (:class:`SamePhaseStream`) scores each point with the
-    same :meth:`_score` on a one-row history."""
+    """Fused pass over a same-phase family: one history gather, one set
+    of :func:`same_phase_statistics` and one prefix statistic per window
+    size feed every config of that size. Its stream
+    (:class:`SamePhaseStream`) scores every warm window of a point at
+    once (:meth:`score_point`), cell for cell with the same arithmetic."""
 
     def __init__(self, configs: Sequence[DetectorConfig]):
         super().__init__(configs)
@@ -746,18 +863,59 @@ class SamePhaseEvaluator(FamilyEvaluator):
             by_window.setdefault(config.detector.n_lags, []).append(j)
         #: ``(n_lags, family columns)`` per window size, ascending.
         self.windows: List[Tuple[int, List[int]]] = sorted(by_window.items())
+        #: Warm-up length of each window size, ascending.
+        self.starts: List[int] = [n_lags * self.lag for n_lags, _ in self.windows]
+        #: The statistics the family's configs read.
+        self.statistics = frozenset(
+            name for config in self.configs
+            for name in config.detector.statistics
+        )
+        #: What :meth:`score_point` needs, per count of warm windows.
+        self._plans: List[Optional[_SamePhasePlan]] = [None] + [
+            self._plan(warm) for warm in range(1, len(self.windows) + 1)
+        ]
+
+    def _plan(self, warm: int) -> _SamePhasePlan:
+        lengths = np.array([n_lags for n_lags, _ in self.windows[:warm]])
+        by_kind: Dict[type, List[Tuple[int, int]]] = {}
+        for g, (_, columns) in enumerate(self.windows[:warm]):
+            for j in columns:
+                kind = type(self.configs[j].detector)
+                by_kind.setdefault(kind, []).append((g, j))
+        scorers = []
+        for kind, pairs in by_kind.items():
+            windows = [g for g, _ in pairs]
+            # A basic slice is a view; every window of a Table 3 family
+            # holds every class, so its windows are 0..k-1.
+            taken: Any = (
+                slice(0, len(windows)) if windows == list(range(len(windows)))
+                else np.array(windows)
+            )
+            scorers.append((kind, taken, np.array([j for _, j in pairs])))
+        return _SamePhasePlan(
+            lengths=lengths.tolist(),
+            ends=lengths - 1,
+            inside=np.arange(lengths[-1]) < lengths[:, np.newaxis],
+            scorers=scorers,
+        )
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
         n = len(values)
         out = np.full((n, len(self.configs)), np.nan)
-        for n_lags, columns in self.windows:
-            start = n_lags * self.lag
+        for (n_lags, columns), start in zip(self.windows, self.starts):
             if n <= start:
                 break
             history = same_phase_history(values, n_lags, self.lag)
             state = self._prefix_state(columns, values[:start])
-            self._score(out[start:], columns, values[start:], history, state)
+            stats = same_phase_statistics(
+                history,
+                {s for j in columns for s in self.configs[j].detector.statistics},
+            )
+            for j in columns:
+                out[start:, j] = self.configs[j].detector._score_columns(
+                    values[start:], stats, state
+                )
         return out
 
     def _prefix_state(
@@ -765,17 +923,55 @@ class SamePhaseEvaluator(FamilyEvaluator):
     ) -> Optional[float]:
         return self.configs[columns[0]].detector._prefix_state(prefix)
 
-    def _score(
+    def score_point(
         self,
         out: np.ndarray,
-        columns: Sequence[int],
-        tail: np.ndarray,
-        history: np.ndarray,
-        state: Optional[float],
+        value: float,
+        row: np.ndarray,
+        states: Sequence[Optional[float]],
     ) -> None:
-        for j in columns:
-            out[:, j] = self.configs[j].detector._score_columns(
-                tail, history, state
+        """Score one point for every warm window at once into ``out``.
+
+        ``row`` is the point's same-phase history for the largest warm
+        window (``len(states)`` windows are warm); a smaller window's
+        history is its leading columns. The NaN mask, the zero-filled
+        row and the counts are taken once; each window's sum stays one
+        ``np.add.reduce`` of its own leading columns, as the batch row
+        kernels reduce it (zero padding would regroup numpy's pairwise
+        sum). Medians and MADs come from one sort each of the rows
+        padded with NaN to one length, which sorting leaves in place.
+        """
+        plan = self._plans[len(states)]
+        names = self.statistics
+        stats: Dict[str, np.ndarray] = {}
+        if names & {"mean", "std"}:
+            mask = np.isnan(row)
+            filled = np.where(mask, 0.0, row)
+            counts = np.cumsum(~mask)[plan.ends]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mean = stats["mean"] = np.array(
+                    [np.add.reduce(filled[:n]) for n in plan.lengths]
+                ) / counts
+                if "std" in names:
+                    deviation = np.where(mask, 0.0, filled - mean[:, np.newaxis])
+                    squares = deviation * deviation
+                    stats["std"] = np.sqrt(
+                        np.array([
+                            np.add.reduce(squares[g, :n])
+                            for g, n in enumerate(plan.lengths)
+                        ]) / counts
+                    )
+        if names & {"median", "mad"}:
+            padded = np.where(plan.inside, row, np.nan)
+            stats.update(same_phase_statistics(padded, names & {"median", "mad"}))
+        # A window without a prefix statistic reads NaN, which its
+        # scoring ignores.
+        state = np.array(states, dtype=np.float64)
+        for kind, taken, columns in plan.scorers:
+            out[columns] = kind._score_columns(
+                value,
+                {name: values[taken] for name, values in stats.items()},
+                state[taken],
             )
 
     def make_stream(self) -> FamilyStream:
@@ -787,11 +983,13 @@ class SamePhaseStream(FamilyStream):
 
     One ring of raw values, sized for the family's largest window,
     serves every config. Each point gathers its same-phase history for
-    the largest window from the ring, in :func:`same_phase_history`'s
-    offset order, so a smaller window's one-row history is its leading
-    columns; the batch kernel scores it. A window's prefix statistic is
-    taken from the ring's prefix when its warm-up completes. So each
-    row equals the batch matrix row bit for bit.
+    the largest warm window from the ring, in
+    :func:`same_phase_history`'s offset order, so a smaller window's
+    one-row history is its leading columns, and
+    :meth:`SamePhaseEvaluator.score_point` scores every warm window in
+    one call. A window's prefix statistic is taken from the ring's
+    prefix when its warm-up completes. So each row equals the batch
+    matrix row bit for bit.
     """
 
     _snapshot_skip = ("_offsets",)
@@ -807,30 +1005,26 @@ class SamePhaseStream(FamilyStream):
 
     def update(self, value: float) -> np.ndarray:
         evaluator = self._evaluator
-        out = np.full((1, len(evaluator.configs)), np.nan)
+        out = np.full(len(evaluator.configs), np.nan)
         size = len(self._ring)
         position = self._count % size
-        if self._count >= evaluator.windows[0][0] * evaluator.lag:
-            tail = np.array([value], dtype=np.float64)
-            history = self._ring[(position - self._offsets) % size]
-            for g, (n_lags, columns) in enumerate(evaluator.windows):
-                start = n_lags * evaluator.lag
-                if self._count < start:
-                    break
-                if self._count == start:
-                    self._states[g] = evaluator._prefix_state(
-                        columns, self._ring[:start]
-                    )
-                evaluator._score(
-                    out,
-                    columns,
-                    tail,
-                    history[np.newaxis, :n_lags],
-                    self._states[g],
+        warm = bisect.bisect_right(evaluator.starts, self._count)
+        if warm:
+            start = evaluator.starts[warm - 1]
+            if self._count == start:
+                self._states[warm - 1] = evaluator._prefix_state(
+                    evaluator.windows[warm - 1][1], self._ring[:start]
                 )
+            offsets = self._offsets[: evaluator.windows[warm - 1][0]]
+            evaluator.score_point(
+                out,
+                value,
+                self._ring[(position - offsets) % size],
+                self._states[:warm],
+            )
         self._ring[position] = value
         self._count += 1
-        return out[0]
+        return out
 
     def buffered_points(self) -> int:
         return len(self._ring)

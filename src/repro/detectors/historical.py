@@ -13,7 +13,7 @@ standard robust scale estimate, improving robustness to dirty data
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .base import (
     SamePhaseEvaluator,
     register_family_builder,
     row_nanmean,
-    row_nanmedian,
-    row_nanstd,
     scale_floor,
 )
 
@@ -85,35 +83,34 @@ class HistoricalAverage(_HistoricalBase):
     """Severity = |v - mean| / std over the same-time-of-day history."""
 
     kind = "historical average"
+    statistics = ("mean", "std")
 
+    @classmethod
     def _score_columns(
-        self, tail: np.ndarray, history: np.ndarray, floor: float
+        cls, tail: np.ndarray, stats: Mapping[str, np.ndarray], floor: Any
     ) -> np.ndarray:
-        mean = row_nanmean(history)
-        std = row_nanstd(history)
-        return np.abs(tail - mean) / np.maximum(std, floor)
+        return np.abs(tail - stats["mean"]) / np.maximum(stats["std"], floor)
 
 
 class HistoricalMad(_HistoricalBase):
     """Severity = |v - median| / (1.4826 * MAD) over the history."""
 
     kind = "historical MAD"
+    statistics = ("median", "mad")
 
+    @classmethod
     def _score_columns(
-        self, tail: np.ndarray, history: np.ndarray, floor: float
+        cls, tail: np.ndarray, stats: Mapping[str, np.ndarray], floor: Any
     ) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            median = row_nanmedian(history)
-            mad = row_nanmedian(np.abs(history - median[:, np.newaxis]))
-        scale = np.maximum(MAD_TO_SIGMA * mad, floor)
-        return np.abs(tail - median) / scale
+        scale = np.maximum(MAD_TO_SIGMA * stats["mad"], floor)
+        return np.abs(tail - stats["median"]) / scale
 
 
 @register_family_builder("historical")
 class HistoricalBankEvaluator(SamePhaseEvaluator):
     """Fused pass over historical average + historical MAD of one day
-    grid: one same-time-of-day history gather and one scale floor per
-    window size feed both variants' statistics, in batch and in the
-    stream."""
+    grid: one same-time-of-day history gather, one scale floor and one
+    set of statistics per window size feed both variants, in batch and
+    in the stream."""
 
     kind = "historical"

@@ -13,7 +13,6 @@ detectors and ``alpha = 0.1, 0.3, 0.5, 0.7, 0.9`` for EWMA.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .base import (
     FamilyStream,
     ParamValue,
     SeverityStream,
+    ValueRing,
     register_family_builder,
     rolling_mean,
 )
@@ -253,12 +253,12 @@ class _WindowBankStream(FamilyStream):
 
     def __init__(self, evaluator: WindowBankEvaluator):
         self._evaluator = evaluator
-        self._ring: deque = deque(maxlen=evaluator.span + 1)
+        self._ring = ValueRing(evaluator.span + 1)
 
     def update(self, value: float) -> np.ndarray:
         value = float(value)
         self._ring.append(value)
-        recent = np.asarray(self._ring)
+        recent = self._ring.view()
         previous = recent[:-1]
         diffs: Optional[np.ndarray] = None
         configs = self._evaluator.configs

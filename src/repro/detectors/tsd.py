@@ -19,7 +19,7 @@ nan-aware statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .base import (
     SamePhaseDetector,
     SamePhaseEvaluator,
     register_family_builder,
-    row_nanmean,
-    row_nanmedian,
 )
 
 #: Table 3 window grid, in weeks.
@@ -70,23 +68,23 @@ class _SeasonalResidual(SamePhaseDetector):
         # history gathers (one per window size).
         return ("seasonal-residual", self.points_per_week)
 
-    def _baseline(self, history: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    #: The statistic the residual is taken from.
+    baseline: str
 
+    @classmethod
     def _score_columns(
-        self, tail: np.ndarray, history: np.ndarray, state: None
+        cls, tail: np.ndarray, stats: Mapping[str, np.ndarray], state: Any
     ) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            return np.abs(tail - self._baseline(history))
+            return np.abs(tail - stats[cls.baseline])
 
 
 class TSD(_SeasonalResidual):
     """Severity = |v[t] - mean(same phase, previous ``win`` weeks)|."""
 
     kind = "tsd"
-
-    def _baseline(self, history: np.ndarray) -> np.ndarray:
-        return row_nanmean(history)
+    baseline = "mean"
+    statistics = ("mean",)
 
 
 class TSDMad(_SeasonalResidual):
@@ -97,15 +95,14 @@ class TSDMad(_SeasonalResidual):
     """
 
     kind = "tsd MAD"
-
-    def _baseline(self, history: np.ndarray) -> np.ndarray:
-        return row_nanmedian(history)
+    baseline = "median"
+    statistics = ("median",)
 
 
 @register_family_builder("seasonal-residual")
 class SeasonalResidualEvaluator(SamePhaseEvaluator):
     """Fused pass over TSD + TSD MAD of one period: one same-phase
-    history gather per window size feeds both the mean and median
-    baselines, in batch and in the stream."""
+    history gather and one set of statistics per window size feed both
+    the mean and median baselines, in batch and in the stream."""
 
     kind = "seasonal-residual"

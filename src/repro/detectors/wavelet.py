@@ -20,7 +20,7 @@ configurations.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +35,7 @@ from .base import (
     FamilyKey,
     FamilyStream,
     ParamValue,
+    ValueRing,
     register_family_builder,
     rolling_std,
     scale_floor,
@@ -169,17 +170,20 @@ class _WaveletBankStream(FamilyStream):
     One ring of raw values gives each band's detail once per point; each
     band keeps one ring of its NaN-zeroed details (the rolling-std
     input), as long as its longest window, and each config takes the std
-    of its own tail. A config's scale floor is frozen when its warm-up
-    ends, from its band's running sum of observed warm-up |detail|.
+    of its own tail with the ufunc calls ``np.std`` makes (the mean by
+    ``np.add.reduce``, then the mean square of the deviations), without
+    its Python overhead. A config's scale floor is frozen when its
+    warm-up ends, from its band's running sum of observed warm-up
+    |detail|.
     """
 
     def __init__(self, evaluator: WaveletBankEvaluator):
         self._evaluator = evaluator
         configs = evaluator.configs
         largest = max(scale for scale, _ in evaluator.bands)
-        self._values: deque = deque(maxlen=2 * largest)
-        self._details: List[deque] = [
-            deque(maxlen=max(configs[j].detector.norm_window for j in columns))
+        self._values = ValueRing(2 * largest)
+        self._details: List[ValueRing] = [
+            ValueRing(max(configs[j].detector.norm_window for j in columns))
             for _, columns in evaluator.bands
         ]
         self._count = 0
@@ -190,8 +194,8 @@ class _WaveletBankStream(FamilyStream):
 
     def update(self, value: float) -> np.ndarray:
         configs = self._evaluator.configs
-        self._values.append(float(value))
-        recent = np.asarray(self._values)
+        self._values.append(value)
+        recent = self._values.view()
         out = np.full(len(configs), np.nan)
         bands = zip(self._evaluator.bands, self._details, self._floor_stats)
         for (s, columns), ring, stats in bands:
@@ -202,7 +206,7 @@ class _WaveletBankStream(FamilyStream):
                 detail = float(
                     np.add.reduce(window[s:]) / s - np.add.reduce(window[:s]) / s
                 )
-            history = np.asarray(ring)  # excludes the current detail
+            history = ring.view()  # excludes the current detail
             warming = False
             for j in columns:
                 detector = configs[j].detector
@@ -212,7 +216,13 @@ class _WaveletBankStream(FamilyStream):
                 if self._floors[j] is None:
                     total, n = stats
                     self._floors[j] = scale_floor(total / n if n else 0.0)
-                scale = float(np.std(history[-detector.norm_window:]))
+                # np.std of the tail: numpy's own _var sequence.
+                width = detector.norm_window
+                tail = history[-width:]
+                deviation = tail - np.add.reduce(tail) / width
+                scale = math.sqrt(
+                    np.add.reduce(np.square(deviation)) / width
+                )
                 with np.errstate(invalid="ignore"):
                     out[j] = abs(detail) / max(scale, self._floors[j])
             if warming and np.isfinite(detail):

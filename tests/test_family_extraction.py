@@ -12,6 +12,10 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
   of the extended detectors on the same data: each window statistic
   has one formulation, the per-window reduction the streams compute,
   and an infinite value is a missing point in both modes;
+* the same holds where a family stream makes one kernel call for many
+  configs: same-phase windows partly warm or without an observed
+  value, SVD column counts with only their short spans ready, the
+  fan-out ``small_bank``, and SVD's one-call-per-config fallback;
 * the full bank's stream rows are pinned by digest, clean and dirty;
 * a bank checkpoint holds one state per family, and every family whose
   state keeps raw values (seasonal-residual, historical, the window
@@ -30,7 +34,12 @@ import numpy as np
 import pytest
 
 from repro.detectors import (
+    TSD,
+    HistoricalAverage,
+    HistoricalMad,
     StreamBank,
+    SVDDetector,
+    TSDMad,
     build_configs,
     build_family_evaluators,
     configs_for,
@@ -38,8 +47,10 @@ from repro.detectors import (
     extended_detectors,
     rolling_std,
 )
-from repro.detectors import base
+from repro.detectors import base, svd
+from repro.detectors.svd import SVD_COLUMNS, SVD_ROWS
 from repro.detectors.base import row_nanmean, row_nanmedian, row_nanstd
+from repro.fleet.banks import small_bank
 from repro.timeseries import TimeSeries
 
 #: sha256 of the full bank's ``StreamBank`` rows over ``hourly_kpi``,
@@ -322,3 +333,131 @@ class TestRollingStdOffsets:
         out = rolling_std(values, 10)
         np.testing.assert_array_equal(out[10:], 0.0)
         assert np.isnan(out[:10]).all()
+
+
+def stream_rows(configs, values) -> np.ndarray:
+    """A fresh ``StreamBank``'s rows over ``values``."""
+    bank = StreamBank(configs)
+    return np.vstack([bank.extract_point(v) for v in values])
+
+
+def assert_stream_equals_batch(configs, values, interval=3600):
+    series = TimeSeries(values=np.asarray(values, dtype=float), interval=interval)
+    rows = stream_rows(configs, series.values)
+    reference = serial_reference(series, configs)
+    for config in configs:
+        np.testing.assert_array_equal(
+            rows[:, config.index],
+            reference[:, config.index],
+            err_msg=f"stream != batch for {config.name}",
+        )
+    return rows
+
+
+def seasonal_values(n: int, period: int, seed: int = 5) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    return 100.0 + 10.0 * np.sin(2 * np.pi * t / period) + rng.normal(0, 1, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneCallPerFamily:
+    """Each family stream makes one kernel call per statistic per point
+    (one per warm window set, one ``eigh`` per SVD column count); the
+    cells stay those of the batch pass, bit for bit, in every state a
+    family's windows can be in. numpy warnings are errors here."""
+
+    #: Same-phase families with several windows on short periods, so a
+    #: short series passes through every warm-up boundary.
+    SAME_PHASE = {
+        "historical": [
+            cls(weeks, 2)
+            for weeks in (1, 2, 3)
+            for cls in (HistoricalAverage, HistoricalMad)
+        ],
+        "seasonal-residual": [
+            cls(weeks, 6) for weeks in (1, 2, 3, 4, 5) for cls in (TSD, TSDMad)
+        ],
+    }
+
+    @pytest.mark.parametrize("family", sorted(SAME_PHASE))
+    def test_same_phase_partly_warm_empty_and_infinite_rows(self, family):
+        """Historical warms at 14, 28 and 42 points and TSD at 6..30, so
+        the series passes through every count of warm windows. A
+        30-point NaN run leaves whole history rows without an observed
+        value for the short windows (only some windows of a point see
+        no value), and ±inf inputs are missing points in both modes."""
+        configs = build_configs(self.SAME_PHASE[family])
+        values = seasonal_values(160, period=6)
+        values[60:90] = np.nan
+        values[[20, 100]] = np.inf
+        values[[35, 130]] = -np.inf
+        values[110] = np.nan
+        rows = assert_stream_equals_batch(configs, values)
+        # Some point has a NaN cell for a short window and a finite one
+        # for a longer window of the same kind.
+        short, long_ = configs[0].index, configs[-2].index
+        assert (np.isnan(rows[:, short]) & np.isfinite(rows[:, long_])).any()
+
+    def test_same_phase_all_windows_see_nothing(self):
+        """A run as long as the largest window empties every window's
+        history at once: NaN everywhere, and no warning."""
+        configs = build_configs(self.SAME_PHASE["historical"])
+        values = seasonal_values(140, period=2)
+        values[40:90] = np.nan
+        rows = assert_stream_equals_batch(configs, values)
+        assert np.isnan(rows[90]).all()
+
+    def test_svd_right_after_a_nan_run(self):
+        """After a NaN run, only the configs whose span no longer reaches
+        it are ready; within one column count those are the short ones,
+        so a grouped call runs on part of its group."""
+        configs = build_configs(
+            SVDDetector(row, column) for row in SVD_ROWS for column in SVD_COLUMNS
+        )
+        values = seasonal_values(900, period=24)
+        values[400:430] = np.nan
+        values[700] = np.inf
+        rows = assert_stream_equals_batch(configs, values)
+        shape = {(c.detector.row, c.detector.column): c.index for c in configs}
+        short, long_ = shape[10, 7], shape[50, 7]
+        partial = np.isfinite(rows[:, short]) & np.isnan(rows[:, long_])
+        assert partial[430:].any()
+
+    def test_small_bank(self, hourly_kpi):
+        """The fan-out bank: a lone historical average and a lone TSD
+        MAD, one window each."""
+        configs = small_bank(hourly_kpi.points_per_week)
+        assert_stream_equals_batch(configs, hostile(hourly_kpi).values)
+
+    def test_svd_falls_back_to_one_call_per_config(self, hourly_kpi, monkeypatch):
+        """If a stacked ``eigh`` raises, the stream takes one call per
+        config and the batch one per window, with the same cells."""
+        configs = build_configs(
+            SVDDetector(row, column) for row in SVD_ROWS for column in SVD_COLUMNS
+        )
+        series = dirty(hourly_kpi)
+        expected = serial_reference(series, configs)
+        eigh = np.linalg.eigh
+        refused = []
+
+        def single_matrix_eigh(matrices):
+            if len(matrices) > 1:
+                refused.append(len(matrices))
+                raise np.linalg.LinAlgError("stack refused")
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", single_matrix_eigh)
+        rows = stream_rows(configs, series.values)
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(serial_reference(series, configs), expected)
+        assert refused
+
+    def test_svd_batch_chunking_does_not_change_a_bit(self, hourly_kpi, monkeypatch):
+        configs = build_configs(
+            SVDDetector(row, column) for row in SVD_ROWS for column in SVD_COLUMNS
+        )
+        series = dirty(hourly_kpi)
+        whole = serial_reference(series, configs)
+        monkeypatch.setattr(svd, "SVD_CHUNK_ELEMENTS", 700)
+        np.testing.assert_array_equal(serial_reference(series, configs), whole)

@@ -11,9 +11,14 @@ Three invariant families from the online-loop rework:
    StreamingDetector) bit-identically to a cold replay, including
    through a JSON round trip — the mechanism behind O(new points)
    retraining and restartable deployments.
+4. A family's array ring of recent values (:class:`ValueRing`)
+   snapshots as the ``deque`` entry it replaced, and a snapshot written
+   while the rings were deques restores.
 """
 
 import json
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,13 +43,14 @@ from repro.detectors import (
     SimpleThreshold,
     TSDMad,
     WaveletDetector,
+    StreamBank,
     WeightedMA,
     build_configs,
     configs_for,
     extended_detectors,
     rolling_mean,
 )
-from repro.detectors.base import _BufferedStream
+from repro.detectors.base import ValueRing, _BufferedStream, _encode_state
 from repro.timeseries import TimeSeries
 
 from test_opprentice import fast_forest, small_bank
@@ -373,3 +379,97 @@ class TestFitIncremental:
         np.testing.assert_array_equal(
             incremental.anomaly_scores(probe), full.anomaly_scores(probe)
         )
+
+
+# ----------------------------------------------------------------------
+# Array rings checkpoint as the deques they replaced.
+# ----------------------------------------------------------------------
+#: The window-bank, SVD and wavelet states of the Table 3 bank on the
+#: hourly test KPI (NaN at points 50..54 and 200) after 120 and 400
+#: points, written by the code whose rings of recent values were
+#: deques (stream checkpoint format v3).
+RINGS_V3 = Path(__file__).parent / "data" / "stream_rings_v3.json"
+
+#: The families whose streams keep rings of recent values.
+RING_FAMILIES = ("window-bank", "svd", "wavelet", "historical", "seasonal-residual")
+
+
+def ring_values(series) -> np.ndarray:
+    values = series.values.copy()
+    values[200] = np.nan
+    values[50:55] = np.nan
+    return values
+
+
+def family_configs(series, kinds):
+    return [
+        config for config in configs_for(series)
+        if config.detector.family() and config.detector.family()[0] in kinds
+    ]
+
+
+class TestValueRingCheckpoint:
+    @pytest.mark.parametrize("maxlen", [1, 3, 8])
+    def test_ring_holds_what_a_deque_holds(self, rng, maxlen):
+        ring, reference = ValueRing(maxlen), deque(maxlen=maxlen)
+        for value in rng.normal(size=3 * maxlen + 2):
+            assert _encode_state(ring) == _encode_state(reference)
+            assert len(ring) == len(reference)
+            np.testing.assert_array_equal(ring.view(), np.asarray(reference))
+            loaded = ValueRing(maxlen, reference)
+            np.testing.assert_array_equal(loaded.view(), ring.view())
+            ring.append(value)
+            reference.append(float(value))
+            loaded.append(value)
+            np.testing.assert_array_equal(loaded.view(), np.asarray(reference))
+
+    @pytest.mark.parametrize("kind", RING_FAMILIES)
+    @pytest.mark.parametrize("cut", [30, 120, 400, 600])
+    def test_mid_stream_restore_equals_an_undisturbed_twin(
+        self, hourly_kpi, kind, cut
+    ):
+        """Cuts with the rings filling, just full and wrapped; through
+        JSON, as a persisted checkpoint goes."""
+        values = ring_values(hourly_kpi)
+        configs = family_configs(hourly_kpi, (kind,))
+        twin = StreamBank(configs)
+        expected = np.vstack([twin.extract_point(v) for v in values])
+
+        stream = StreamBank(configs)
+        for value in values[:cut]:
+            stream.extract_point(value)
+        states = json.loads(json.dumps(stream.snapshot()))
+        resumed = StreamBank(configs).restore(states)
+        assert resumed.buffered_points() == stream.buffered_points()
+        rows = np.vstack([resumed.extract_point(v) for v in values[cut:]])
+        np.testing.assert_array_equal(rows, expected[cut:])
+
+    @pytest.mark.parametrize("kind", ["window-bank", "svd"])
+    def test_buffered_points_is_the_logical_ring_length(self, hourly_kpi, kind):
+        values = ring_values(hourly_kpi)
+        bank = StreamBank(family_configs(hourly_kpi, (kind,)))
+        for count, value in enumerate(values, start=1):
+            bank.extract_point(value)
+            ring = bank.snapshot()[0]["_ring"]
+            assert bank.buffered_points() == min(count, ring["maxlen"])
+            assert len(ring["values"]) == min(count, ring["maxlen"])
+
+    @pytest.mark.parametrize("cut", ["120", "400"])
+    def test_deque_written_rings_restore(self, hourly_kpi, cut):
+        """A snapshot written while the rings were deques restores and
+        resumes like a twin that never stopped, and the array rings
+        write the same snapshot."""
+        written = json.loads(RINGS_V3.read_text())[cut]
+        values = ring_values(hourly_kpi)
+        configs = family_configs(hourly_kpi, ("window-bank", "svd", "wavelet"))
+        twin = StreamBank(configs)
+        for value in values[:int(cut)]:
+            twin.extract_point(value)
+        assert json.dumps(twin.snapshot()) == json.dumps(written)
+
+        restored = StreamBank(configs).restore(written)
+        assert restored.buffered_points() == twin.buffered_points()
+        for value in values[int(cut):]:
+            np.testing.assert_array_equal(
+                restored.extract_point(value), twin.extract_point(value)
+            )
