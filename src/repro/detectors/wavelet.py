@@ -231,3 +231,8 @@ class _WaveletBankStream(FamilyStream):
             ring.append(0.0 if np.isnan(detail) else detail)
         self._count += 1
         return out
+
+    def buffered_points(self) -> int:
+        """The raw ring and each band's detail ring, by their logical
+        lengths; the per-config floors are scalar state, not points."""
+        return len(self._values) + sum(len(ring) for ring in self._details)

@@ -67,34 +67,34 @@ class _RegressionTree:
         node_residuals = residuals[indices]
         total_sum = node_residuals.sum()
         total_n = len(indices)
-        best_gain, best = 0.0, None
+        n_features = binned.shape[1]
         base = total_sum * total_sum / total_n
-        for feature in range(binned.shape[1]):
-            codes = binned[indices, feature].astype(np.int64)
-            counts = np.bincount(codes, minlength=self.max_bins)
-            sums = np.bincount(
-                codes, weights=node_residuals, minlength=self.max_bins
+        # Feature-major keys: each (feature, bin) sum adds the node's
+        # residuals in row order, as a per-feature bincount does.
+        offsets = np.arange(n_features)[:, None] * self.max_bins
+        keys = (binned[indices].T + offsets).ravel()
+        counts = np.bincount(keys, minlength=n_features * self.max_bins)
+        sums = np.bincount(keys, np.tile(node_residuals, n_features), len(counts))
+        left_n = np.cumsum(counts.reshape(n_features, -1), axis=1)[:, :-1]
+        left_sum = np.cumsum(sums.reshape(n_features, -1), axis=1)[:, :-1]
+        right_n = total_n - left_n
+        right_sum = total_sum - left_sum
+        valid = (
+            (left_n >= self.min_samples_leaf)
+            & (right_n >= self.min_samples_leaf)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = np.where(
+                valid,
+                left_sum**2 / left_n + right_sum**2 / right_n - base,
+                -np.inf,
             )
-            left_n = np.cumsum(counts)[:-1]
-            left_sum = np.cumsum(sums)[:-1]
-            right_n = total_n - left_n
-            right_sum = total_sum - left_sum
-            valid = (
-                (left_n >= self.min_samples_leaf)
-                & (right_n >= self.min_samples_leaf)
-            )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = np.where(
-                    valid,
-                    left_sum**2 / left_n + right_sum**2 / right_n - base,
-                    -np.inf,
-                )
-            bin_index = int(np.argmax(gains))
-            if gains[bin_index] > best_gain + 1e-12:
-                best_gain = float(gains[bin_index])
-                best = (feature, bin_index)
+        bins = np.argmax(gains, axis=1)
+        # A later feature must beat the best so far by more than 1e-12.
+        best_gain, best = 0.0, None
+        for feature, top in enumerate(gains[np.arange(n_features), bins]):
+            if top > best_gain + 1e-12:
+                best_gain, best = float(top), (feature, int(bins[feature]))
         return best
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ without pruning, exactly as the random forest requires.
 
 For speed the split search is histogram-based: each feature is
 discretised into up to 256 quantile bins once per training set, and a
-node evaluates all candidate splits of a feature with one
-``np.bincount``. Split thresholds are mapped back to real feature
+node scores every candidate feature's splits from one ``np.bincount``
+in one 2-D pass. Split thresholds are mapped back to real feature
 values so prediction runs on raw (unbinned) features.
 
 A fitted tree is the node arrays :meth:`DecisionTree.to_dict` writes
@@ -80,18 +80,19 @@ class Binner:
 def _gini_best_split(
     counts0: np.ndarray, counts1: np.ndarray, min_samples_leaf: int = 1
 ) -> tuple[float, int]:
-    """Best split of one feature's class histograms by gini impurity.
+    """Best split of one node's class histograms by gini impurity.
 
-    ``counts0[b]``/``counts1[b]`` are class counts in bin ``b``. A split
-    at bin ``b`` sends bins ``<= b`` left, and is valid only if both
-    children keep ``min_samples_leaf`` samples. Returns
-    (impurity_decrease, split_bin); split_bin = -1 if no valid split
-    exists.
+    ``counts0[i, b]``/``counts1[i, b]`` count class 0/1 in bin ``b`` of
+    candidate ``i`` (1-D: one candidate). A split at bin ``b`` sends bins
+    ``<= b`` left, and needs ``min_samples_leaf`` samples in each child.
+    Returns (impurity_decrease, split) for the first best (i, b), with
+    ``split = i * (n_bins - 1) + b``, or -1.
     """
-    total0, total1 = counts0.sum(), counts1.sum()
+    left0, left1 = (np.cumsum(c, axis=1) for c in np.atleast_2d(counts0, counts1))
+    total0, total1 = left0[0, -1], left1[0, -1]  # each row holds the node
     n = total0 + total1
-    left0 = np.cumsum(counts0)[:-1].astype(np.float64)
-    left1 = np.cumsum(counts1)[:-1].astype(np.float64)
+    left0 = left0[:, :-1].astype(np.float64)
+    left1 = left1[:, :-1].astype(np.float64)
     n_left = left0 + left1
     n_right = n - n_left
     valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
@@ -102,8 +103,9 @@ def _gini_best_split(
         right0, right1 = total0 - left0, total1 - left1
         gini_right = 1.0 - (right0 / n_right) ** 2 - (right1 / n_right) ** 2
         weighted = (n_left * gini_left + n_right * gini_right) / n
+    # One scalar: squaring per row is not always bitwise the same.
     parent = 1.0 - (total0 / n) ** 2 - (total1 / n) ** 2
-    decrease = np.where(valid, parent - weighted, -np.inf)
+    decrease = np.where(valid, parent - weighted, -np.inf).ravel()
     best = int(np.argmax(decrease))
     if decrease[best] <= 1e-12:
         return 0.0, -1
@@ -299,21 +301,19 @@ class DecisionTree(Classifier):
             candidates = rng.choice(n_features, n_split_features, replace=False)
         else:
             candidates = np.arange(n_features)
-        node_labels = labels[indices]
-        best_decrease, best_feature, best_bin = 0.0, -1, -1
-        for feature in candidates:
-            codes = binned[indices, feature].astype(np.int64)
-            counts = np.bincount(
-                codes * 2 + node_labels, minlength=2 * self.max_bins
-            ).reshape(-1, 2)
-            decrease, split_bin = _gini_best_split(
-                counts[:, 0], counts[:, 1], self.min_samples_leaf
-            )
-            if split_bin >= 0 and decrease > best_decrease:
-                best_decrease, best_feature, best_bin = decrease, feature, split_bin
-        if best_feature < 0:
+        # One histogram keyed (candidate position, bin, class), drawn order.
+        k = len(candidates)
+        codes = binned[indices[:, None], candidates] + np.arange(k) * self.max_bins
+        keys = (2 * codes + labels[indices, None]).ravel()
+        counts = np.bincount(keys, minlength=2 * self.max_bins * k)
+        counts = counts.reshape(k, self.max_bins, 2)
+        decrease, split = _gini_best_split(
+            counts[..., 0], counts[..., 1], self.min_samples_leaf
+        )
+        if split < 0:
             return None
-        return int(best_feature), int(best_bin), float(best_decrease)
+        row, split_bin = divmod(split, self.max_bins - 1)
+        return int(candidates[row]), split_bin, decrease
 
     # ------------------------------------------------------------------
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

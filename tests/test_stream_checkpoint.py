@@ -444,15 +444,24 @@ class TestValueRingCheckpoint:
         rows = np.vstack([resumed.extract_point(v) for v in values[cut:]])
         np.testing.assert_array_equal(rows, expected[cut:])
 
-    @pytest.mark.parametrize("kind", ["window-bank", "svd"])
+    @pytest.mark.parametrize("kind", ["window-bank", "svd", "wavelet"])
     def test_buffered_points_is_the_logical_ring_length(self, hourly_kpi, kind):
+        """The wavelet holds its raw ring plus one detail ring per band;
+        its per-config floors are not buffered points."""
         values = ring_values(hourly_kpi)
         bank = StreamBank(family_configs(hourly_kpi, (kind,)))
         for count, value in enumerate(values, start=1):
             bank.extract_point(value)
-            ring = bank.snapshot()[0]["_ring"]
-            assert bank.buffered_points() == min(count, ring["maxlen"])
-            assert len(ring["values"]) == min(count, ring["maxlen"])
+            state = bank.snapshot()[0]
+            rings = (
+                [state["_values"], *state["_details"]] if kind == "wavelet"
+                else [state["_ring"]]
+            )
+            if kind == "wavelet":
+                assert len(rings) == 4
+            held = [min(count, ring["maxlen"]) for ring in rings]
+            assert bank.buffered_points() == sum(held)
+            assert [len(ring["values"]) for ring in rings] == held
 
     @pytest.mark.parametrize("cut", ["120", "400"])
     def test_deque_written_rings_restore(self, hourly_kpi, cut):
