@@ -468,9 +468,9 @@ class MonitoringService:
                     )
 
     def _close_open_run(self) -> List[AlertEvent]:
-        """Close a dangling alert run (retraining rebuilds the streams,
-        so a run left open would never emit its ``closed`` event). The
-        run ends — exclusively — at the last ingested point."""
+        """Close a dangling alert run before a retrain, so every run is
+        scored by one model and emits its ``closed`` event. The run
+        ends — exclusively — at the last ingested point."""
         events: List[AlertEvent] = []
         if self._run_begin is not None:
             end = self.history_length
@@ -518,9 +518,9 @@ class MonitoringService:
         labelled span feeds the EWMA predictor, and the classifier is
         refitted incrementally: the training feature matrix is extended
         with the severity rows already collected during streaming
-        detection, and the warm detector streams carry over through a
-        checkpoint instead of replaying history — both O(new points),
-        keeping retrain cost flat in history length. An alert run still
+        detection — O(new points), keeping retrain cost flat in history
+        length. The warm detector streams carry over as they are: they
+        read the model the refit updates in place. An alert run still
         open at this point is closed first (its ``closed`` event goes to
         the callback/metrics, not to this call's return value), so alert
         lifecycles always pair up. Returns the new cThld.
@@ -566,12 +566,10 @@ class MonitoringService:
             self._opprentice.cthld_predictor.observe_best(best)
 
         # The streams have already seen every point of `combined`
-        # (bootstrap replay + one push per ingested point), so their
-        # current state *is* the post-replay state: checkpoint them now
-        # and restore into the rebuilt detector instead of replaying.
+        # (bootstrap replay + one push per ingested point), and the
+        # refit below replaces only the model they read, never the
+        # detector bank, so they keep running.
         self._close_open_run()
-        checkpoint = self._streaming.snapshot()
-
         self._opprentice.fit_incremental(
             combined, np.asarray(self._pending_rows, dtype=np.float64)
         )
@@ -579,9 +577,6 @@ class MonitoringService:
             self._opprentice.classifier_factory,
             self._opprentice._train_features,
             self._opprentice._train_labels,
-        )
-        self._streaming = StreamingDetector(
-            self._opprentice, checkpoint=checkpoint, kpi=combined.name
         )
         self._history = combined
         self._labeled_until = len(combined)
@@ -661,27 +656,6 @@ class MonitoringService:
             "stats": self.stats.as_dict(),
         }
 
-    def _restore_streams(
-        self, checkpoint: Mapping[str, Any], seen: TimeSeries
-    ) -> StreamingDetector:
-        """The warm detector streams of a snapshot whose streams had
-        seen exactly ``seen`` (history + pending). An older stream
-        checkpoint (version 1 or 2) holds states the family streams no
-        longer read: replaying ``seen`` rebuilds them."""
-        if checkpoint.get("format_version") not in (1, 2):
-            return StreamingDetector(
-                self._opprentice, checkpoint=checkpoint, kpi=seen.name
-            )
-        streaming = StreamingDetector(self._opprentice, kpi=seen.name)
-        streaming.check_feature_names(checkpoint["feature_names"])
-        if len(seen) != int(checkpoint["index"]) + 1:
-            raise ValueError(
-                f"stream checkpoint saw {int(checkpoint['index']) + 1} "
-                f"points, the snapshot holds {len(seen)}"
-            )
-        streaming.replay(seen)
-        return streaming
-
     def _resolve_diagnoser(self, stored: Any, shared: Mapping[str, Any]):
         """The diagnoser a snapshot's ``diagnoser`` entry names: a
         sha256 resolved, in order, to this service's own diagnoser, one
@@ -727,9 +701,10 @@ class MonitoringService:
 
         One batch extraction over history + pending gives the training
         matrix and the pending rows (stream == batch), and the forest's
-        votes on the pending rows are the pending scores. Version-1
-        snapshots, which embedded those and the diagnoser, are read
-        too; their embedded rows and scores are ignored.
+        votes on the pending rows are the pending scores; the streams
+        restore from history + pending, the values they had seen.
+        Version-1 snapshots, which embedded those and the diagnoser, are
+        read too; their embedded rows and scores are ignored.
         """
         version = snapshot.get("format_version")
         if version not in (1, SERVICE_SNAPSHOT_VERSION):
@@ -771,7 +746,9 @@ class MonitoringService:
             # The stream restore is the bank-compatibility gate and the
             # diagnoser lookup can fail too: run both first so a
             # mismatched checkpoint leaves the service untouched.
-            streaming = self._restore_streams(snapshot["stream"], seen)
+            streaming = StreamingDetector(
+                opprentice, seen, checkpoint=snapshot["stream"], kpi=seen.name
+            )
             diagnoser = self._resolve_diagnoser(
                 snapshot.get("diagnoser"), shared_diagnosers or {}
             )

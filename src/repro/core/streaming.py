@@ -25,11 +25,11 @@ from ..timeseries import TimeSeries
 from .opprentice import Opprentice
 
 #: Version tag of the stream-checkpoint dict layout produced by
-#: :meth:`StreamingDetector.snapshot`. Version 3 stores one state per
-#: detector family; versions 1 and 2 (per-config states) are read only
-#: by :meth:`MonitoringService.restore_snapshot`, which rebuilds the
-#: streams by replaying the points they had seen.
-STREAM_CHECKPOINT_VERSION = 3
+#: :meth:`StreamingDetector.snapshot`. Version 4 stores one state per
+#: detector family and no raw values. Versions 1 and 2 (per-config
+#: states) and 3 (raw rings inside the family states) restore by
+#: replaying the points their streams had seen.
+STREAM_CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,9 @@ class StreamingDetector:
         Replaying the training series makes subsequent decisions equal
         to the batch contextual scores.
     checkpoint:
-        Alternative to ``history``: a dict from :meth:`snapshot` of a
-        previous StreamingDetector over the same detector bank. The
-        fresh streams are restored to the checkpointed state in O(state)
-        instead of replaying the whole history — this is what keeps
-        :meth:`MonitoringService.retrain` flat in history length.
+        A dict from :meth:`snapshot` of a previous StreamingDetector
+        over the same detector bank, which had seen ``history``
+        (:meth:`restore`).
     """
 
     def __init__(
@@ -75,8 +73,6 @@ class StreamingDetector:
     ):
         if opprentice.classifier_ is None or opprentice.imputer_ is None:
             raise ValueError("StreamingDetector needs a fitted Opprentice")
-        if history is not None and checkpoint is not None:
-            raise ValueError("pass either history or checkpoint, not both")
         self._opprentice = opprentice
         # Per-KPI latency attribution: the kpi label on the per-point
         # stage timers; falls back to the replayed history's name.
@@ -98,7 +94,7 @@ class StreamingDetector:
         self._bank = StreamBank(configs)
         self._index = -1
         if checkpoint is not None:
-            self.restore(checkpoint)
+            self.restore(checkpoint, history)
         elif history is not None:
             self.replay(history)
 
@@ -114,7 +110,8 @@ class StreamingDetector:
     def snapshot(self) -> Dict[str, Any]:
         """The warm state of every detector stream as one
         JSON-serializable checkpoint dict (a service checkpoint carries
-        it as its ``stream`` entry). Restoring it into a fresh
+        it as its ``stream`` entry). It holds no raw values: restoring
+        it, with the series this detector has seen, into a fresh
         StreamingDetector over the same bank reproduces this detector's
         future decisions exactly."""
         return {
@@ -124,31 +121,39 @@ class StreamingDetector:
             "streams": self._bank.snapshot(),
         }
 
-    def restore(self, checkpoint: Mapping[str, Any]) -> "StreamingDetector":
-        """Load a :meth:`snapshot` into this detector's fresh streams."""
+    def restore(
+        self, checkpoint: Mapping[str, Any], seen: Optional[TimeSeries]
+    ) -> "StreamingDetector":
+        """Bring the fresh streams to a :meth:`snapshot` taken after they
+        had seen ``seen``: a version-4 checkpoint's states load and the
+        bank's raw-value ring refills from ``seen``'s tail; an older
+        one's states are not read, so ``seen`` is replayed."""
         version = checkpoint.get("format_version")
-        if version != STREAM_CHECKPOINT_VERSION:
+        if version not in (1, 2, 3, STREAM_CHECKPOINT_VERSION):
             raise ValueError(
                 f"unsupported stream checkpoint version {version!r} "
                 f"(expected {STREAM_CHECKPOINT_VERSION})"
             )
-        self.check_feature_names(checkpoint["feature_names"])
-        with get_provider().span(
-            "stream.restore", n_streams=len(self._bank)
-        ):
-            self._bank.restore(list(checkpoint["streams"]))
-        self._index = int(checkpoint["index"])
-        return self
-
-    def check_feature_names(self, names) -> None:
-        """Raise unless ``names`` are this detector's feature columns,
-        in order — the gate against restoring state taken over another
-        bank."""
-        if list(names) != self._feature_names:
+        if list(checkpoint["feature_names"]) != self._feature_names:
             raise ValueError(
                 "detector bank mismatch: the checkpoint was taken over a "
                 "different feature set"
             )
+        index = int(checkpoint["index"])
+        if seen is None or len(seen) != index + 1:
+            raise ValueError(
+                f"stream checkpoint version {version} saw {index + 1} "
+                "points; restore it with the series its streams saw"
+            )
+        if version != STREAM_CHECKPOINT_VERSION:
+            self.replay(seen)
+            return self
+        with get_provider().span(
+            "stream.restore", n_streams=len(self._bank)
+        ):
+            self._bank.restore(list(checkpoint["streams"]), seen.values)
+        self._index = index
+        return self
 
     def buffered_points(self) -> int:
         """Total points buffered across all detector streams — the value

@@ -25,7 +25,7 @@ counts ARIMA as a single configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -132,6 +132,26 @@ def _hannan_rissanen(
     return float(coef[0]), coef[1: 1 + p], coef[1 + p:], float(aic)
 
 
+def _one_step(
+    order: ARIMAOrder, working: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Causal one-step predictions of the fitted ARMA over the working
+    (possibly differenced) series, with recursively computed
+    innovations; NaN / 0 before the recursion offset."""
+    m = len(working)
+    innovations = np.zeros(m)
+    predictions = np.full(m, np.nan)
+    for t in range(max(order.p, order.q, 1), m):
+        forecast = order.const
+        for i, phi in enumerate(order.ar):
+            forecast += phi * working[t - 1 - i]
+        for j, theta in enumerate(order.ma):
+            forecast += theta * innovations[t - 1 - j]
+        predictions[t] = forecast
+        innovations[t] = working[t] - forecast
+    return predictions, innovations
+
+
 class ARIMA(Detector):
     """Auto-fitted ARIMA one-step forecaster; severity = |residual|.
 
@@ -202,22 +222,8 @@ class ARIMA(Detector):
         working = np.diff(filled) if order.d == 1 else filled
         missing = np.isnan(values)
 
-        # Causal one-step predictions with recursively computed
-        # innovations over the working (possibly differenced) series.
+        predictions, _ = _one_step(order, working)
         m = len(working)
-        innovations = np.zeros(m)
-        offset = max(order.p, order.q, 1)
-        predictions = np.full(m, np.nan)
-        ar, ma = order.ar, order.ma
-        for t in range(offset, m):
-            forecast = order.const
-            for i, phi in enumerate(ar):
-                forecast += phi * working[t - 1 - i]
-            for j, theta in enumerate(ma):
-                forecast += theta * innovations[t - 1 - j]
-            predictions[t] = forecast
-            innovations[t] = working[t] - forecast
-
         # |working - prediction| equals |value - value forecast| in the
         # original space for both d = 0 and d = 1.
         residual = np.abs(working - predictions)
@@ -232,10 +238,12 @@ class ARIMA(Detector):
 
 
 class _ARIMAStream(SeverityStream):
-    """Online ARIMA: buffer the estimation prefix, fit once, then run
-    the one-step forecast recursion incrementally (O(p + q) per point).
-    Point-for-point identical to the batch mode, including the causal
-    forward-fill of missing points.
+    """Online ARIMA: buffer the estimation prefix, fit once and drop
+    it, then run the one-step forecast recursion incrementally
+    (O(p + q) per point, on its last ``max(p, q) + 1`` working values
+    and innovations). Point-for-point identical to the batch mode,
+    including the causal forward-fill of missing points. The prefix is
+    at least 50 points, so the recursion is past its offset once fitted.
     """
 
     #: The fitted order is a dataclass the generic encoder cannot
@@ -244,27 +252,17 @@ class _ARIMAStream(SeverityStream):
 
     def __init__(self, detector: ARIMA):
         self._detector = detector
+        #: The estimation prefix, until the order is fitted.
         self._buffer: list = []
         self._order: Optional[ARIMAOrder] = None
-        self._offset = 0
         #: Trailing working-series values and innovations (newest last).
         self._working: list = []
         self._innovations: list = []
         self._last_filled: float = float("nan")
-        self._working_index = -1
 
     def snapshot(self) -> dict:
         state = super().snapshot()
-        order = self._order
-        state["_order"] = None if order is None else {
-            "p": order.p,
-            "d": order.d,
-            "q": order.q,
-            "const": order.const,
-            "ar": list(order.ar),
-            "ma": list(order.ma),
-            "aic": order.aic,
-        }
+        state["_order"] = None if self._order is None else asdict(self._order)
         return state
 
     def restore(self, state) -> "_ARIMAStream":
@@ -272,87 +270,42 @@ class _ARIMAStream(SeverityStream):
         order = state.pop("_order", None)
         super().restore(state)
         self._order = None if order is None else ARIMAOrder(
-            p=int(order["p"]),
-            d=int(order["d"]),
-            q=int(order["q"]),
-            const=float(order["const"]),
-            ar=tuple(float(c) for c in order["ar"]),
-            ma=tuple(float(c) for c in order["ma"]),
-            aic=float(order["aic"]),
+            **{**order, "ar": tuple(order["ar"]), "ma": tuple(order["ma"])}
         )
         return self
 
-    # ------------------------------------------------------------------
-    def _fit_and_replay(self) -> None:
-        detector = self._detector
+    def _fit(self) -> None:
         values = np.asarray(self._buffer, dtype=np.float64)
-        self._order = detector.estimate_order(values)
-        order = self._order
-        self._offset = max(order.p, order.q, 1)
-        self._memory = max(order.p, order.q) + 1
-
+        order = self._order = self._detector.estimate_order(values)
         filled = _forward_fill(values)
         working = np.diff(filled) if order.d == 1 else filled
-        innovations = np.zeros(len(working))
-        for t in range(self._offset, len(working)):
-            forecast = order.const
-            for i, phi in enumerate(order.ar):
-                forecast += phi * working[t - 1 - i]
-            for j, theta in enumerate(order.ma):
-                forecast += theta * innovations[t - 1 - j]
-            innovations[t] = working[t] - forecast
-        keep = self._memory
+        _, innovations = _one_step(order, working)
+        keep = max(order.p, order.q) + 1
         self._working = list(working[-keep:])
         self._innovations = list(innovations[-keep:])
         self._last_filled = float(filled[-1])
-        self._working_index = len(working) - 1
+        self._buffer = []
 
-    def _step(self, working_value: float) -> float:
-        """Advance the recursion by one working-series point; returns
-        the absolute residual (NaN before the recursion offset)."""
-        order = self._order
-        assert order is not None
-        self._working_index += 1
-        if self._working_index < self._offset:
-            self._working.append(working_value)
-            self._innovations.append(0.0)
-        else:
-            forecast = order.const
-            for i, phi in enumerate(order.ar):
-                forecast += phi * self._working[-1 - i]
-            for j, theta in enumerate(order.ma):
-                forecast += theta * self._innovations[-1 - j]
-            self._working.append(working_value)
-            self._innovations.append(working_value - forecast)
-            severity = abs(working_value - forecast)
-            self._trim()
-            return severity
-        self._trim()
-        return float("nan")
-
-    def _trim(self) -> None:
-        keep = self._memory
-        if len(self._working) > keep:
-            del self._working[:-keep]
-            del self._innovations[:-keep]
-
-    # ------------------------------------------------------------------
     def update(self, value: float) -> float:
         value = float(value)
-        detector = self._detector
-        if len(self._buffer) < detector.fit_points:
+        order = self._order
+        if order is None:
             self._buffer.append(value)
-            if len(self._buffer) == detector.fit_points:
-                self._fit_and_replay()
+            if len(self._buffer) == self._detector.fit_points:
+                self._fit()
             return float("nan")
 
-        assert self._order is not None
         missing = np.isnan(value)
         filled = self._last_filled if missing else value
-        if self._order.d == 1:
-            working_value = filled - self._last_filled
-        else:
-            working_value = filled
-        severity = self._step(working_value)
+        working_value = filled - self._last_filled if order.d == 1 else filled
+        forecast = order.const
+        for i, phi in enumerate(order.ar):
+            forecast += phi * self._working[-1 - i]
+        for j, theta in enumerate(order.ma):
+            forecast += theta * self._innovations[-1 - j]
+        self._working.append(working_value)
+        self._innovations.append(working_value - forecast)
+        keep = max(order.p, order.q) + 1
+        del self._working[:-keep], self._innovations[:-keep]
         self._last_filled = filled
-        return float("nan") if missing else severity
+        return float("nan") if missing else abs(working_value - forecast)

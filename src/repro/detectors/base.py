@@ -29,11 +29,12 @@ points ``0..t``. Points inside a detector's warm-up window (§4.3.2) get
 Configurations of one family (:meth:`Detector.family`) run together: a
 :class:`FamilyEvaluator` computes all their columns in one batch pass
 and its :class:`FamilyStream` advances all of them per point, with one
-checkpoint entry per family. Every Table 3 family's stream keeps its
-recent values once (one ring for the family, not one per config), and
-a :class:`FamilyDetector` takes both modes from its family, run over
-that one config. Only solo detectors (:class:`SoloEvaluator`) stream
-through their own :meth:`Detector.stream`. The nan-aware row kernels
+checkpoint entry per family. A :class:`StreamBank` keeps the KPI's raw
+values once, in one ring every family reads its tail of; a family
+stream keeps only the state it derives. A :class:`FamilyDetector` takes
+both modes from its family, run over that one config. Only solo
+detectors (:class:`SoloEvaluator`) stream through their own
+:meth:`Detector.stream`. The nan-aware row kernels
 (:func:`row_nanmean`, :func:`row_nanmedian`, :func:`row_nanstd`) equal
 numpy's ``nan*`` reductions bit for bit, cost as little on one row as
 on many, and return NaN for a row with no observed value without
@@ -91,25 +92,29 @@ class ValueRing:
     """The last ``maxlen`` values a stream has seen, oldest first, as one
     contiguous array.
 
-    Each value is written at ``i`` and ``i + maxlen`` of a
-    ``2 * maxlen`` buffer, so :meth:`view` is a slice of it: an append
-    costs O(1), where reading a ``deque`` as an array copies all
-    ``maxlen`` values. A ring checkpoints as the ``deque`` entry it
-    replaced (:func:`_encode_state`), and such an entry loads back into
-    it (:meth:`_StreamState.restore`).
+    Each value is written at ``i`` and ``i + maxlen`` of a NaN-filled
+    ``2 * maxlen`` buffer, so any tail is a slice of it (:meth:`tail`):
+    an append costs O(1), where reading a ``deque`` as an array copies
+    all ``maxlen`` values. A ring checkpoints as a ``deque`` entry
+    (:func:`_encode_state`), which loads back into it (:func:`_adopt`).
     """
 
     __slots__ = ("maxlen", "_buffer", "_position", "_size")
 
     def __init__(self, maxlen: int, values: Iterable[float] = ()):
         self.maxlen = maxlen
-        self._buffer = np.full(2 * maxlen, np.nan)
-        held = np.asarray(list(values), dtype=np.float64)[-maxlen:]
+        self._buffer = np.empty(2 * maxlen)
+        self.refill(values)
+
+    def refill(self, values: Iterable[float]) -> None:
+        """Hold the last ``maxlen`` of ``values`` instead."""
+        held = np.asarray(values, dtype=np.float64)[-self.maxlen:]
+        self._buffer.fill(np.nan)
         self._size = len(held)
         self._buffer[: self._size] = held
-        self._buffer[maxlen: maxlen + self._size] = held
+        self._buffer[self.maxlen: self.maxlen + self._size] = held
         #: Where the next value goes.
-        self._position = self._size % maxlen
+        self._position = self._size % self.maxlen
 
     def append(self, value: float) -> None:
         position = self._position
@@ -122,11 +127,16 @@ class ValueRing:
     def __len__(self) -> int:
         return self._size
 
-    def view(self) -> np.ndarray:
-        """The held values, oldest first: a view of the buffer, valid
+    def tail(self, n: int) -> np.ndarray:
+        """The newest ``n <= maxlen`` values, oldest first, NaN where a
+        value precedes the first one seen: a view of the buffer, valid
         until the next :meth:`append`."""
         end = self._position + self.maxlen
-        return self._buffer[end - self._size: end]
+        return self._buffer[end - n: end]
+
+    def view(self) -> np.ndarray:
+        """The held values, oldest first."""
+        return self.tail(self._size)
 
 
 def _encode_state(value: Any) -> Any:
@@ -141,16 +151,12 @@ def _encode_state(value: Any) -> Any:
     """
     if isinstance(value, np.ndarray):
         return {"__kind__": "ndarray", "values": value.tolist()}
-    if isinstance(value, ValueRing):
-        return {
-            "__kind__": "deque",
-            "maxlen": value.maxlen,
-            "values": value.view().tolist(),
-        }
-    if isinstance(value, deque):
+    if isinstance(value, (deque, ValueRing)):
         # Severity and value rings hold nothing but floats; copy those
         # in one pass instead of walking every item.
-        if set(map(type, value)) <= _FLOAT_ONLY:
+        if isinstance(value, ValueRing):
+            values = value.view().tolist()
+        elif set(map(type, value)) <= _FLOAT_ONLY:
             values = list(value)
         else:
             values = [_encode_state(item) for item in value]
@@ -193,10 +199,12 @@ def _decode_state(value: Any) -> Any:
 
 def _adopt(current: Any, decoded: Any) -> Any:
     """A decoded attribute in the container the fresh stream keeps: a
-    ``deque`` entry loads into the :class:`ValueRing` (or the list of
-    rings) the stream holds in its place."""
+    ``deque`` entry refills the :class:`ValueRing` (or the list of
+    rings) the stream holds in its place, so whatever reads that ring
+    reads the restored values."""
     if isinstance(current, ValueRing):
-        return ValueRing(decoded.maxlen, decoded)
+        current.refill(decoded)
+        return current
     if isinstance(current, list) and any(
         isinstance(item, ValueRing) for item in current
     ):
@@ -255,9 +263,12 @@ class _StreamState:
     def buffered_points(self) -> int:
         """Number of buffered points held in container state — the
         quantity the ``repro_stream_buffer_points`` gauge aggregates.
-        Bounded streams keep this flat no matter how long they run."""
+        Bounded streams keep this flat no matter how long they run.
+        What :meth:`snapshot` skips is not the stream's own state."""
         total = 0
-        for value in self.__dict__.values():
+        for key, value in self.__dict__.items():
+            if key in self._snapshot_skip:
+                continue
             if isinstance(value, (list, deque, np.ndarray, ValueRing)):
                 total += len(value)
             elif isinstance(value, _StreamState):
@@ -591,8 +602,14 @@ class FamilyStream(_StreamState, abc.ABC):
     """Online counterpart of :class:`FamilyEvaluator`: one
     :meth:`update` per point returns the severity of *every* config in
     the family. A family checkpoints as one state
-    (:meth:`snapshot`/:meth:`restore`), so state the configs share —
-    a ring of raw values, the warm-up buffer — is stored once."""
+    (:meth:`snapshot`/:meth:`restore`) holding only what it derives:
+    raw values are the :class:`StreamBank`'s, whose ring
+    (:attr:`values`) ends with the point being updated."""
+
+    _snapshot_skip: Tuple[str, ...] = ("values",)
+
+    #: The bank's raw-value ring, set by the bank.
+    values: ValueRing
 
     @abc.abstractmethod
     def update(self, value: float) -> np.ndarray:
@@ -600,14 +617,17 @@ class FamilyStream(_StreamState, abc.ABC):
 
 
 class FamilyMemberStream(SeverityStream):
-    """A one-config :class:`FamilyStream` seen as a
-    :class:`SeverityStream`: the per-detector stream of a detector whose
-    family stream is its only online formulation."""
+    """The per-detector stream of a :class:`FamilyDetector`: its
+    one-config family stream, reading a raw-value ring this stream owns
+    and checkpoints, as no bank holds one."""
 
-    def __init__(self, family: FamilyStream):
-        self._family = family
+    def __init__(self, detector: Detector):
+        evaluator = solo_family(detector)
+        self._family = evaluator.make_stream()
+        self._values = self._family.values = ValueRing(max(evaluator.memory, 1))
 
     def update(self, value: float) -> float:
+        self._values.append(value)
         return float(self._family.update(value)[0])
 
 
@@ -624,6 +644,10 @@ class FamilyEvaluator(abc.ABC):
     #: Display name used for observability labels (span/timer
     #: ``detector=`` tags) when the family runs as one task.
     kind: str = "family"
+
+    #: Trailing raw values, the newest point included, that the
+    #: family's stream reads from its bank's ring (0: none).
+    memory: int = 0
 
     def __init__(self, configs: Sequence[DetectorConfig]):
         self.configs: Tuple[DetectorConfig, ...] = tuple(configs)
@@ -756,7 +780,7 @@ class FamilyDetector(Detector):
         return solo_family(self).evaluate(series)[:, 0]
 
     def stream(self) -> SeverityStream:
-        return FamilyMemberStream(solo_family(self).make_stream())
+        return FamilyMemberStream(self)
 
 
 # ----------------------------------------------------------------------
@@ -865,6 +889,10 @@ class SamePhaseEvaluator(FamilyEvaluator):
         self.windows: List[Tuple[int, List[int]]] = sorted(by_window.items())
         #: Warm-up length of each window size, ascending.
         self.starts: List[int] = [n_lags * self.lag for n_lags, _ in self.windows]
+        #: Each window's same-phase history in a raw tail ending at the
+        #: point, in :func:`same_phase_history`'s offset order.
+        self.backs = [-1 - np.arange(1, n + 1) * self.lag for n, _ in self.windows]
+        self.memory = self.starts[-1] + 1
         #: The statistics the family's configs read.
         self.statistics = frozenset(
             name for config in self.configs
@@ -981,24 +1009,18 @@ class SamePhaseEvaluator(FamilyEvaluator):
 class SamePhaseStream(FamilyStream):
     """Online counterpart of :class:`SamePhaseEvaluator`.
 
-    One ring of raw values, sized for the family's largest window,
-    serves every config. Each point gathers its same-phase history for
-    the largest warm window from the ring, in
+    Each point gathers its same-phase history for the largest warm
+    window from the bank's tail of raw values, in
     :func:`same_phase_history`'s offset order, so a smaller window's
     one-row history is its leading columns, and
     :meth:`SamePhaseEvaluator.score_point` scores every warm window in
-    one call. A window's prefix statistic is taken from the ring's
-    prefix when its warm-up completes. So each row equals the batch
-    matrix row bit for bit.
+    one call. A window's prefix statistic is taken from the tail's
+    oldest values when its warm-up completes. So each row equals the
+    batch matrix row bit for bit.
     """
-
-    _snapshot_skip = ("_offsets",)
 
     def __init__(self, evaluator: SamePhaseEvaluator):
         self._evaluator = evaluator
-        largest = evaluator.windows[-1][0]
-        self._offsets = np.arange(1, largest + 1) * evaluator.lag
-        self._ring = np.full(largest * evaluator.lag, np.nan)
         self._count = 0
         #: Prefix statistic per window size, set once it is warm.
         self._states: List[Optional[float]] = [None] * len(evaluator.windows)
@@ -1006,28 +1028,26 @@ class SamePhaseStream(FamilyStream):
     def update(self, value: float) -> np.ndarray:
         evaluator = self._evaluator
         out = np.full(len(evaluator.configs), np.nan)
-        size = len(self._ring)
-        position = self._count % size
         warm = bisect.bisect_right(evaluator.starts, self._count)
         if warm:
+            recent = self.values.tail(evaluator.memory)
             start = evaluator.starts[warm - 1]
             if self._count == start:
                 self._states[warm - 1] = evaluator._prefix_state(
-                    evaluator.windows[warm - 1][1], self._ring[:start]
+                    evaluator.windows[warm - 1][1], recent[-1 - start:-1]
                 )
-            offsets = self._offsets[: evaluator.windows[warm - 1][0]]
             evaluator.score_point(
                 out,
                 value,
-                self._ring[(position - offsets) % size],
+                recent[evaluator.backs[warm - 1]],
                 self._states[:warm],
             )
-        self._ring[position] = value
         self._count += 1
         return out
 
     def buffered_points(self) -> int:
-        return len(self._ring)
+        """The prefix statistics are scalar state, not points."""
+        return 0
 
 
 class StreamBank:
@@ -1038,7 +1058,11 @@ class StreamBank:
     back to the bank's column order, so :meth:`extract_point` fills a
     full feature row with one fused update per family (§4.3.2: the
     severity of a new point is computed the moment it arrives).
-    Checkpoints hold one state per family stream, in evaluator order.
+
+    The bank owns the KPI's one raw-value ring, sized for the longest
+    tail a family reads (:attr:`FamilyEvaluator.memory`) and appended
+    to once a point, before the families update. Checkpoints hold one
+    state per family stream, in evaluator order, and no raw values.
     """
 
     def __init__(self, configs: Sequence[DetectorConfig]):
@@ -1055,6 +1079,9 @@ class StreamBank:
         self._streams: List[FamilyStream] = [
             evaluator.make_stream() for evaluator in self._evaluators
         ]
+        self._values = ValueRing(max(e.memory for e in self._evaluators) or 1)
+        for stream in self._streams:
+            stream.values = self._values
 
     def __len__(self) -> int:
         return len(self._configs)
@@ -1069,6 +1096,7 @@ class StreamBank:
         value = float(value)
         if math.isinf(value):
             value = math.nan
+        self._values.append(value)
         row = np.empty(len(self._configs), dtype=np.float64)
         for stream, positions in zip(self._streams, self._positions):
             row[positions] = stream.update(value)
@@ -1078,16 +1106,22 @@ class StreamBank:
         """One checkpoint state per family stream, in evaluator order."""
         return [stream.snapshot() for stream in self._streams]
 
-    def restore(self, states: Sequence[Mapping[str, Any]]) -> "StreamBank":
-        """Load a :meth:`snapshot` into this bank's fresh streams."""
+    def restore(
+        self, states: Sequence[Mapping[str, Any]], seen: Sequence[float]
+    ) -> "StreamBank":
+        """Load a :meth:`snapshot` into this bank's fresh streams; the
+        ring refills from the tail of ``seen``, the values the bank had
+        seen, ±inf as a missing point."""
         if len(states) != len(self._streams):
             raise DetectorError(
                 f"expected {len(self._streams)} family stream states, "
                 f"got {len(states)}"
             )
+        tail = np.asarray(seen, dtype=np.float64)[-self._values.maxlen:]
+        self._values.refill(np.where(np.isinf(tail), np.nan, tail))
         for stream, state in zip(self._streams, states):
             stream.restore(state)
         return self
 
     def buffered_points(self) -> int:
-        return sum(stream.buffered_points() for stream in self._streams)
+        return len(self._values) + sum(s.buffered_points() for s in self._streams)

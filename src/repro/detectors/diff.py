@@ -8,20 +8,29 @@ lag.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..timeseries import TimeSeries
-from .base import Detector, DetectorError, ParamValue, SeverityStream
+from .base import (
+    Detector,
+    DetectorConfig,
+    DetectorError,
+    FamilyDetector,
+    FamilyEvaluator,
+    FamilyKey,
+    FamilyStream,
+    ParamValue,
+    register_family_builder,
+)
 
 #: The three Table 3 lags, expressed as (name, days) pairs; last-slot is
 #: a one-point lag regardless of interval.
 LAG_NAMES = ("last-slot", "last-day", "last-week")
 
 
-class Diff(Detector):
+class Diff(FamilyDetector):
     """Severity = |v[t] - v[t - lag]|.
 
     Parameters
@@ -51,25 +60,45 @@ class Diff(Detector):
     def warmup(self) -> int:
         return self.lag_points
 
-    def severities(self, series: TimeSeries) -> np.ndarray:
-        values = self._validate(series)
-        out = np.full(len(values), np.nan)
-        if len(values) > self.lag_points:
-            out[self.lag_points:] = np.abs(
-                values[self.lag_points:] - values[:-self.lag_points]
-            )
+    def family(self) -> FamilyKey:
+        # Every lag reads the same trailing values.
+        return ("diff", None)
+
+
+@register_family_builder("diff")
+class DiffBankEvaluator(FamilyEvaluator):
+    """Every lag's differences from one validated series; the stream
+    reads each lag's value from the bank's tail of raw values."""
+
+    kind = "diff"
+
+    def __init__(self, configs: Sequence[DetectorConfig]):
+        super().__init__(configs)
+        self.lags = [config.detector.lag_points for config in self.configs]
+        self.memory = max(self.lags) + 1
+        #: Each lag's place in a tail of raw values ending at the point.
+        self.backs = -1 - np.array(self.lags)
+
+    def evaluate(self, series: TimeSeries) -> np.ndarray:
+        values = Detector._validate(series)
+        out = np.full((len(values), len(self.configs)), np.nan)
+        for j, lag in enumerate(self.lags):
+            if len(values) > lag:
+                out[lag:, j] = np.abs(values[lag:] - values[:-lag])
         return out
 
-    def stream(self) -> SeverityStream:
-        return _DiffStream(self.lag_points)
+    def make_stream(self) -> FamilyStream:
+        return _DiffBankStream(self)
 
 
-class _DiffStream(SeverityStream):
-    def __init__(self, lag_points: int):
-        self._history: deque = deque(maxlen=lag_points + 1)
+class _DiffBankStream(FamilyStream):
+    """|point - the value each lag back| from the bank's NaN-padded
+    tail, NaN until the lag is reached, as in batch. The stream keeps
+    no state of its own."""
 
-    def update(self, value: float) -> float:
-        self._history.append(float(value))
-        if len(self._history) < self._history.maxlen:
-            return float("nan")
-        return abs(self._history[-1] - self._history[0])
+    def __init__(self, evaluator: DiffBankEvaluator):
+        self._evaluator = evaluator
+
+    def update(self, value: float) -> np.ndarray:
+        evaluator = self._evaluator
+        return np.abs(value - self.values.tail(evaluator.memory)[evaluator.backs])

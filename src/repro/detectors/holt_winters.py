@@ -149,7 +149,9 @@ class _HoltWintersBankStream(FamilyStream):
     state frozen and gets NaN severity.
     """
 
-    _snapshot_skip = ("_alphas", "_betas", "_gammas", "_season")
+    _snapshot_skip = FamilyStream._snapshot_skip + (
+        "_alphas", "_betas", "_gammas", "_season"
+    )
 
     def __init__(
         self,

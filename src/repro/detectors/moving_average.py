@@ -28,7 +28,6 @@ from .base import (
     FamilyStream,
     ParamValue,
     SeverityStream,
-    ValueRing,
     register_family_builder,
     rolling_mean,
 )
@@ -210,6 +209,7 @@ class WindowBankEvaluator(FamilyEvaluator):
         self.span = max(
             getattr(config.detector, "window", 0) for config in self.configs
         )
+        self.memory = self.span + 1
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
@@ -245,20 +245,17 @@ class WindowBankEvaluator(FamilyEvaluator):
 
 
 class _WindowBankStream(FamilyStream):
-    """Online counterpart of :class:`WindowBankEvaluator`: one ring of
-    the last ``span + 1`` raw values serves every config. Each point
-    reads the ring once; each config reduces its own contiguous tail
-    (the previous ``win`` values, or the ``win`` newest one-slot
-    differences) with the batch formula."""
+    """Online counterpart of :class:`WindowBankEvaluator`, keeping no
+    state: each config reduces its own part of the bank's last
+    ``span + 1`` raw values (the previous ``win`` values, or the ``win``
+    newest one-slot differences) with the batch formula; a window
+    reaching into the tail's NaN padding is NaN, as in batch."""
 
     def __init__(self, evaluator: WindowBankEvaluator):
         self._evaluator = evaluator
-        self._ring = ValueRing(evaluator.span + 1)
 
     def update(self, value: float) -> np.ndarray:
-        value = float(value)
-        self._ring.append(value)
-        recent = self._ring.view()
+        recent = self.values.tail(self._evaluator.memory)
         previous = recent[:-1]
         diffs: Optional[np.ndarray] = None
         configs = self._evaluator.configs
@@ -267,8 +264,6 @@ class _WindowBankStream(FamilyStream):
         for j, config in enumerate(configs):
             detector = config.detector
             window = getattr(detector, "window", 0)
-            if len(previous) < window:
-                continue
             if isinstance(detector, SimpleThreshold):
                 out[j] = value
             elif isinstance(detector, SimpleMA):

@@ -29,7 +29,6 @@ from .base import (
     FamilyKey,
     FamilyStream,
     ParamValue,
-    ValueRing,
     register_family_builder,
 )
 
@@ -152,6 +151,7 @@ class SVDBankEvaluator(FamilyEvaluator):
         self.groups: List[Tuple[int, List[Tuple[int, int, int]]]] = [
             (column, sorted(members)) for column, members in sorted(by_column.items())
         ]
+        self.memory = max(config.detector.span for config in self.configs)
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
@@ -201,22 +201,18 @@ class SVDBankEvaluator(FamilyEvaluator):
 
 
 class _SVDBankStream(FamilyStream):
-    """One ring of the largest window serves every config — the §6
-    property that SVD "can generate anomaly features only using recent
-    data". Each config whose window holds no non-finite value reshapes
-    its contiguous tail of the ring, and the configs of one column
-    count share one batch kernel call, so stream and batch stay
-    bit-identical."""
+    """The bank's tail of the largest window serves every config, and
+    the stream keeps no state — the §6 property that SVD "can generate
+    anomaly features only using recent data". Each config whose window
+    holds no non-finite value (NaN padding included) reshapes its part
+    of the tail, and the configs of one column count share one batch
+    kernel call, so stream and batch stay bit-identical."""
 
     def __init__(self, evaluator: SVDBankEvaluator):
         self._evaluator = evaluator
-        self._ring = ValueRing(
-            max(config.detector.span for config in evaluator.configs)
-        )
 
     def update(self, value: float) -> np.ndarray:
-        self._ring.append(value)
-        recent = self._ring.view()
+        recent = self.values.tail(self._evaluator.memory)
         # Trailing values after the newest non-finite one.
         bad = np.flatnonzero(~np.isfinite(recent))
         clean = len(recent) - 1 - bad[-1] if len(bad) else len(recent)

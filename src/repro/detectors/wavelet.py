@@ -146,6 +146,7 @@ class WaveletBankEvaluator(FamilyEvaluator):
             (BAND_SCALES[band], columns)
             for band, columns in sorted(by_band.items())
         ]
+        self.memory = 2 * max(scale for scale, _ in self.bands)
 
     def evaluate(self, series: TimeSeries) -> np.ndarray:
         values = Detector._validate(series)
@@ -167,10 +168,11 @@ class _WaveletBankStream(FamilyStream):
     """Online Haar details with rolling normalisation windows, equal to
     the batch mode bit for bit.
 
-    One ring of raw values gives each band's detail once per point; each
-    band keeps one ring of its NaN-zeroed details (the rolling-std
-    input), as long as its longest window, and each config takes the std
-    of its own tail with the ufunc calls ``np.std`` makes (the mean by
+    The bank's tail of raw values gives each band's detail once per
+    point (NaN while the tail's padding reaches into it); each band
+    keeps one ring of its NaN-zeroed details (the rolling-std input),
+    as long as its longest window, and each config takes the std of its
+    own tail with the ufunc calls ``np.std`` makes (the mean by
     ``np.add.reduce``, then the mean square of the deviations), without
     its Python overhead. A config's scale floor is frozen when its
     warm-up ends, from its band's running sum of observed warm-up
@@ -180,8 +182,6 @@ class _WaveletBankStream(FamilyStream):
     def __init__(self, evaluator: WaveletBankEvaluator):
         self._evaluator = evaluator
         configs = evaluator.configs
-        largest = max(scale for scale, _ in evaluator.bands)
-        self._values = ValueRing(2 * largest)
         self._details: List[ValueRing] = [
             ValueRing(max(configs[j].detector.norm_window for j in columns))
             for _, columns in evaluator.bands
@@ -194,18 +194,15 @@ class _WaveletBankStream(FamilyStream):
 
     def update(self, value: float) -> np.ndarray:
         configs = self._evaluator.configs
-        self._values.append(value)
-        recent = self._values.view()
+        recent = self.values.tail(self._evaluator.memory)
         out = np.full(len(configs), np.nan)
         bands = zip(self._evaluator.bands, self._details, self._floor_stats)
         for (s, columns), ring, stats in bands:
             window = recent[-2 * s:]
-            detail = float("nan")
-            if len(window) == 2 * s:
-                # Each half's mean(), minus the method's overhead.
-                detail = float(
-                    np.add.reduce(window[s:]) / s - np.add.reduce(window[:s]) / s
-                )
+            # Each half's mean(), minus the method's overhead.
+            detail = float(
+                np.add.reduce(window[s:]) / s - np.add.reduce(window[:s]) / s
+            )
             history = ring.view()  # excludes the current detail
             warming = False
             for j in columns:
@@ -233,6 +230,6 @@ class _WaveletBankStream(FamilyStream):
         return out
 
     def buffered_points(self) -> int:
-        """The raw ring and each band's detail ring, by their logical
-        lengths; the per-config floors are scalar state, not points."""
-        return len(self._values) + sum(len(ring) for ring in self._details)
+        """Each band's detail ring, by its logical length; the
+        per-config floors are scalar state, not points."""
+        return sum(len(ring) for ring in self._details)

@@ -34,9 +34,10 @@ from __future__ import annotations
 import os
 import shutil
 import socket
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.service import AlertEvent
 from ..fleet.manager import FleetManager, ServiceFactory
@@ -114,21 +115,24 @@ def atomic_checkpoint(fleet: FleetManager, checkpoint_dir: Path) -> Path:
     return live
 
 
-def load_or_build(spec: ShardSpec) -> FleetManager:
-    """Restore the shard's last checkpoint, or build + checkpoint it.
+def load_or_build(spec: ShardSpec) -> Tuple[FleetManager, float, bool]:
+    """Restore the shard's last checkpoint, or build + checkpoint it;
+    also returns the seconds either took and whether it restored.
 
     The initial checkpoint is written before the shard serves anything,
     so a re-fork after even an immediate crash has a restore point.
     """
+    began = time.perf_counter()
     root = Path(spec.checkpoint_dir)
     existing = find_checkpoint(root)
     if existing is not None:
-        return FleetManager.restore(
+        fleet = FleetManager.restore(
             existing, service_factory=spec.service_factory
         )
-    fleet = spec.build_fleet()
-    atomic_checkpoint(fleet, root)
-    return fleet
+    else:
+        fleet = spec.build_fleet()
+        atomic_checkpoint(fleet, root)
+    return fleet, time.perf_counter() - began, existing is not None
 
 
 def serialize_events(events: Sequence[AlertEvent]) -> List[dict]:
@@ -152,7 +156,7 @@ class _ShardServer:
 
     def __init__(self, spec: ShardSpec):
         self.spec = spec
-        self.fleet = load_or_build(spec)
+        self.fleet, self.load_s, self.restored = load_or_build(spec)
         self.batches = 0
         self._since_checkpoint = 0
 
@@ -165,6 +169,8 @@ class _ShardServer:
             "shard": self.spec.index,
             "kpis": self.fleet.kpi_ids,
             "batches": self.batches,
+            "load_s": self.load_s,
+            "restored": self.restored,
         }
 
     def op_offer_batch(self, payload: dict) -> dict:

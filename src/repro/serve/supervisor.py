@@ -79,6 +79,8 @@ class _ShardHandle:
         self.pid: Optional[int] = None
         self.restarts = 0
         self.stopped = False
+        #: ``load_s`` and ``restored`` from the latest fork's ping reply.
+        self.loaded: dict = {}
 
 
 class ShardSupervisor:
@@ -224,6 +226,7 @@ class ShardSupervisor:
                 f"(build/restore failed; see its stderr)"
             ) from error
         handle.pid = reply.get("pid", process.pid)
+        handle.loaded = {key: reply.get(key) for key in ("load_s", "restored")}
 
     def _refork_locked(self, handle: _ShardHandle, *, reason: str) -> None:
         """Replace a dead/stopped shard (caller holds ``handle.lock``).
@@ -348,6 +351,7 @@ class ShardSupervisor:
                         "alive": alive,
                         "restarts": handle.restarts,
                         "kpis": len(self.assignment[handle.index]),
+                        **handle.loaded,
                     }
                 )
         return table

@@ -1,7 +1,8 @@
-"""Version-1 and version-2 stream checkpoints restore by replay.
+"""Version-1, version-2 and version-3 stream checkpoints restore by
+replay.
 
-Stream checkpoints store one state per detector family, every Table 3
-family included (version 3). ``tests/data/stream_checkpoint_v1`` and
+Stream checkpoints store one state per detector family and no raw
+values (version 4). ``tests/data/stream_checkpoint_v1`` and
 ``tests/data/stream_checkpoint_v2`` each hold a ``(model.json,
 service.json)`` pair written by the code of that version: the
 ``small_bank`` service of ``test_service_checkpoint.py``'s deployment,
@@ -16,6 +17,12 @@ per-config states inside the window bank (and SVD and wavelet, which
 checkpoint by replaying the history and pending points they had seen;
 the restored service must then reach the same decisions as a twin that
 never stopped. Each check runs on both pairs.
+
+``tests/data/stream_checkpoint_v3`` is a pair written the same way by
+the code whose family states kept rings of raw values (version 3): the
+full Table 3 bank over SRT with a 15-tree forest, bootstrapped on two
+weeks and fed 88 live points, with an alert run open at the cut. It
+restores by replay too.
 
 ``tests/data/service_checkpoint_v1`` is a one-KPI fleet directory
 (``fleet.json``, ``kpis/ckpt-kpi/model.json`` and ``service.json``)
@@ -129,7 +136,7 @@ def resumes_like_an_undisturbed_twin(version, deployment):
     assert restored.stats.as_dict() == twin.stats.as_dict()
     assert restored._pending_scores == twin._pending_scores
     written = restored.snapshot()["stream"]["format_version"]
-    assert written == STREAM_CHECKPOINT_VERSION == 3
+    assert written == STREAM_CHECKPOINT_VERSION == 4
 
 
 def test_v1_pair_resumes_like_an_undisturbed_twin(deployment):
@@ -175,6 +182,75 @@ def test_v1_replay_checks_the_bank(deployment):
 
 def test_v2_replay_checks_the_bank(deployment):
     replay_checks_the_bank(2, deployment)
+
+
+# ----------------------------------------------------------------------
+# Version 3: the full Table 3 bank, raw rings inside the family states
+# ----------------------------------------------------------------------
+V3 = DATA / "stream_checkpoint_v3"
+
+#: Live points the version-3 SRT service had ingested after its
+#: two-week bootstrap.
+V3_LIVE_AT_CUT = 88
+
+
+def srt_service():
+    return MonitoringService(classifier_factory=fast_forest, min_duration_points=2)
+
+
+def test_fixture_is_a_version_3_stream_checkpoint():
+    snapshot = json.loads((V3 / "service.json").read_text())["snapshot"]
+    stream = snapshot["stream"]
+    assert stream["format_version"] == 3
+    assert len(stream["feature_names"]) == 133
+    # One state per family, the raw rings inside them.
+    assert sum("_ring" in state for state in stream["streams"]) == 4
+    assert len(snapshot["pending"]["values"]) == V3_LIVE_AT_CUT
+    assert snapshot["run"]["begin"] is not None
+
+
+def test_v3_full_config_checkpoint_resumes_like_an_undisturbed_twin(tmp_path):
+    """Replayed streams decide, alert and retrain as the twin does, and
+    the restored service ends equal to it, snapshot and model bit for
+    bit."""
+    from repro.data import make_srt
+
+    series = make_srt(weeks=3).series
+    split = 2 * series.points_per_week
+    cut = split + V3_LIVE_AT_CUT
+    twin = srt_service()
+    twin.bootstrap(series.slice(0, split))
+    for value in series.values[split:cut]:
+        twin.ingest(float(value))
+
+    restored = srt_service()
+    load_model(V3 / "model.json", opprentice=restored.opprentice)
+    load_service_checkpoint(V3 / "service.json", restored)
+    assert restored._run_begin == twin._run_begin is not None
+    assert restored._streaming.points_seen == cut
+
+    retrain_at = cut + 40
+    expected, actual = [], []
+    for value in series.values[cut:retrain_at]:
+        expected.extend(twin.ingest(float(value)))
+        actual.extend(restored.ingest(float(value)))
+    windows = [
+        w for w in points_to_windows(series.labels)
+        if w.begin >= split and w.end <= retrain_at
+    ]
+    for service in (twin, restored):
+        service.submit_labels(windows)
+    assert restored.retrain() == twin.retrain()
+    for value in series.values[retrain_at:]:
+        expected.extend(twin.ingest(float(value)))
+        actual.extend(restored.ingest(float(value)))
+    assert expected, "no alert event after the cut"
+    assert actual == expected
+    assert json.dumps(restored.snapshot()) == json.dumps(twin.snapshot())
+    assert model_digest(restored, tmp_path / "restored.json") == (
+        model_digest(twin, tmp_path / "twin.json")
+    )
+    assert restored.snapshot()["stream"]["format_version"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,8 @@ path (:class:`repro.detectors.StreamBank`). The contract under test:
   value, SVD column counts with only their short spans ready, the
   fan-out ``small_bank``, and SVD's one-call-per-config fallback;
 * the full bank's stream rows are pinned by digest, clean and dirty;
-* a bank checkpoint holds one state per family, and every family whose
-  state keeps raw values (seasonal-residual, historical, the window
-  bank, SVD and wavelet) holds one ring of them;
+* a bank checkpoint holds one state per family and no raw values: the
+  bank keeps them once, in one ring every family reads its tail of;
 * the nan-aware row kernels equal numpy's ``nan*`` reductions bit for
   bit, and a one-row call equals the row of a many-row call;
 * ``rolling_std`` centres each window on its own mean, so it survives
@@ -195,54 +194,53 @@ class TestIncrementalEquivalence:
         assert all(isinstance(state, dict) for state in states)
 
         restored = StreamBank(configs)
-        restored.restore(states)
+        restored.restore(states, hourly_kpi.values[:half])
         for value in hourly_kpi.values[half:]:
             np.testing.assert_array_equal(
                 restored.extract_point(value), bank.extract_point(value)
             )
 
-    def test_same_phase_families_store_one_ring(self, hourly_kpi):
-        """Every family whose state keeps raw values holds one ring of
-        them, sized for the family's largest window: seasonal-residual,
-        historical, the window bank and SVD. Wavelet's raw ring spans
-        two of its largest Haar scale, and it keeps one ring of details
-        per band, sized for the band's longest normalisation window."""
+    def test_bank_holds_the_one_raw_ring(self, hourly_kpi):
+        """The bank keeps the KPI's raw values once, in a ring sized for
+        the longest tail a family reads (seasonal-residual's and
+        historical's five weeks and the point). The families that read
+        raw values checkpoint only what they derive: counts and prefix
+        statistics, the wavelet's detail rings and floors, nothing at
+        all. ``buffered_points()`` counts the ring once."""
         configs = configs_for(hourly_kpi)
         bank = StreamBank(configs)
         for value in hourly_kpi.values:
             bank.extract_point(value)
         evaluators = build_family_evaluators(configs)
+        memory = {e.kind: e.memory for e in evaluators if e.memory}
+        assert set(memory) == {
+            "diff", "window-bank", "seasonal-residual", "historical",
+            "svd", "wavelet",
+        }
+        assert memory["seasonal-residual"] == memory["historical"] == 5 * 168 + 1
+        assert bank._values.maxlen == max(memory.values())
+        np.testing.assert_array_equal(bank._values.view(), hourly_kpi.values)
+
         states = dict(zip((e.kind for e in evaluators), bank.snapshot()))
-
-        def rings(kind):
-            return {
-                key: len(value["values"])
-                for key, value in states[kind].items()
-                if isinstance(value, dict)
-                and value.get("__kind__") in ("ndarray", "deque")
-            }
-
-        def detectors(kind):
-            evaluator = next(e for e in evaluators if e.kind == kind)
-            return [config.detector for config in evaluator.configs]
-
+        for kind in ("diff", "window-bank", "svd"):
+            assert states[kind] == {}, kind
         for kind in ("seasonal-residual", "historical"):
-            largest = max(d.warmup() for d in detectors(kind))
-            assert rings(kind) == {"_ring": largest}, kind
-        largest = max(getattr(d, "window", 0) for d in detectors("window-bank"))
-        assert rings("window-bank") == {"_ring": largest + 1}
-        largest = max(d.row * d.column for d in detectors("svd"))
-        assert rings("svd") == {"_ring": largest}
-
-        wavelets = detectors("wavelet")
-        assert rings("wavelet") == {"_values": 2 * max(d.scale for d in wavelets)}
+            assert set(states[kind]) == {"_count", "_states"}, kind
+        wavelet = states["wavelet"]
+        assert set(wavelet) == {"_details", "_count", "_floor_stats", "_floors"}
         longest = {}
-        for d in wavelets:
-            longest[d.band] = max(longest.get(d.band, 0), d.norm_window)
-        details = states["wavelet"]["_details"]
-        assert [len(ring["values"]) for ring in details] == [
-            longest[band] for band in sorted(longest)
-        ]
+        for e in evaluators:
+            if e.kind == "wavelet":
+                for config in e.configs:
+                    d = config.detector
+                    longest[d.band] = max(longest.get(d.band, 0), d.norm_window)
+        details = [len(ring["values"]) for ring in wavelet["_details"]]
+        assert details == [longest[band] for band in sorted(longest)]
+
+        fresh = StreamBank(configs)
+        derived = sum(stream.buffered_points() for stream in bank._streams)
+        assert bank.buffered_points() == len(hourly_kpi) + derived
+        assert fresh.buffered_points() == 0
 
 
 class TestRowKernels:

@@ -162,14 +162,17 @@ class TestCheckpointRotation:
             build_fleet=lambda: build_fleet(template, ["kpi-000"], n_shards=1),
             service_factory=service_factory(template),
         )
-        first = load_or_build(spec)  # builds, writes the initial checkpoint
+        # Builds and writes the initial checkpoint.
+        first, _, restored = load_or_build(spec)
+        assert not restored
         assert find_checkpoint(root) is not None
         baseline = first.status().kpis[0].points_ingested
         # Mutate in memory only — the next load must ignore the builder
         # *and* this un-checkpointed progress.
         first.offer("kpi-000", float(series.values[split]))
         first.drain_all()
-        second = load_or_build(spec)
+        second, load_s, restored = load_or_build(spec)
+        assert restored and load_s > 0
         assert second.status().kpis[0].points_ingested == baseline
 
 
@@ -328,6 +331,12 @@ class TestShardSupervisor:
             table = disturbed.shard_table()
 
         assert table[victim]["restarts"] == 1
+        # The re-forked shard restored its checkpoint and timed it; the
+        # survivor still reports its first start's build.
+        assert table[victim]["restored"] is True
+        assert table[victim]["load_s"] > 0
+        assert table[1 - victim]["restored"] is False
+        assert table[1 - victim]["load_s"] > 0
         assert drill_counters == base_counters
         assert drill_events == base_events
         assert any(base_events.values()), (

@@ -27,6 +27,8 @@ from repro.core import (
     save_service_checkpoint,
 )
 
+from repro.timeseries import points_to_windows
+
 from test_diagnosis import tiny_diagnoser  # noqa: F401  (fixture)
 from test_opprentice import fast_forest, small_bank
 
@@ -429,6 +431,64 @@ class TestDiagnoserDigest:
 
 
 # ----------------------------------------------------------------------
+# Checkpoint anywhere: the full bank, cuts drawn at random
+# ----------------------------------------------------------------------
+def test_checkpoint_anywhere_equals_an_undisturbed_twin(tmp_path):
+    """Full Table 3 bank on SRT with a 24-point NaN run and a retrain.
+    Seeded random cuts fall before the 3-week same-phase windows warm,
+    inside the NaN run and right after the retrain. A service restored
+    at each cut runs beside the twin to the end: the same events at
+    every point, then the same snapshot and model, bit for bit."""
+    from repro.data import make_srt
+
+    series = make_srt(weeks=5).series
+    values = series.values.copy()
+    ppw = series.points_per_week
+    split, nan_run, retrain_at = 2 * ppw, (560, 584), 620
+    values[nan_run[0]:nan_run[1]] = np.nan
+    rng = np.random.default_rng(30)
+    cuts = sorted({
+        int(rng.integers(split + 1, 3 * ppw)),
+        int(rng.integers(nan_run[0] + 1, nan_run[1])),
+        retrain_at + int(rng.integers(0, 3)),
+    })
+    windows = [
+        w for w in points_to_windows(series.labels)
+        if w.begin >= split and w.end <= retrain_at
+    ]
+
+    def service():
+        return MonitoringService(
+            classifier_factory=fast_forest, min_duration_points=2
+        )
+
+    twin = service()
+    twin.bootstrap(series.slice(0, split))
+    clones = []
+    for i in range(split, len(values)):
+        if i == retrain_at:
+            for each in [twin] + clones:
+                each.submit_labels(windows)
+                each.retrain()
+        if i in cuts:
+            save_model(twin.opprentice, tmp_path / "model.json")
+            save_service_checkpoint(twin, tmp_path / "service.json")
+            clone = service()
+            load_model(tmp_path / "model.json", opprentice=clone.opprentice)
+            load_service_checkpoint(tmp_path / "service.json", clone)
+            clones.append(clone)
+        expected = twin.ingest(float(values[i]))
+        for clone in clones:
+            assert clone.ingest(float(values[i])) == expected, i
+    assert len(clones) == 3
+    written = json.dumps(twin.snapshot())
+    digest = model_digest(twin, tmp_path / "twin.json")
+    for clone in clones:
+        assert json.dumps(clone.snapshot()) == written
+        assert model_digest(clone, tmp_path / "clone.json") == digest
+
+
+# ----------------------------------------------------------------------
 # Checkpoint size: one value per pending point
 # ----------------------------------------------------------------------
 #: Upper bound on the service.json bytes one pending point adds: its
@@ -440,12 +500,11 @@ BYTES_PER_PENDING_POINT = 25
 def test_service_json_grows_by_the_pending_values_only(tmp_path):
     """Full Table 3 bank and default forest on SRT after a two-week
     bootstrap. The file used to carry a 133-column severity row per
-    pending point (~2.5 kB each); now, at 0, 168 and 672 pending
-    points, everything but the stream state grows by at most ~25 B per
-    pending point. The stream state is bounded by the bank, not by
-    the pending points: the historical and seasonal-residual rings
-    still fill up to five weeks here, and once they are full (by 672
-    pending points) the whole file grows by the pending values only.
+    pending point (~2.5 kB each), and then raw-value rings in the
+    stream state that filled up to five weeks. Now the stream state
+    holds only what the family streams derive, so from 0 pending
+    points to 168, 672 and 840 the whole file, stream included, grows
+    by at most ~25 B per pending point.
     """
     from repro.data import make_srt
 
@@ -453,7 +512,7 @@ def test_service_json_grows_by_the_pending_values_only(tmp_path):
     split = 2 * series.points_per_week
     service = MonitoringService(min_duration_points=2)
     service.bootstrap(series.slice(0, split))
-    sizes, stream_sizes = {}, {}
+    sizes = {}
     position = split
     for pending in (0, 168, 672, 840):
         for value in series.values[position:split + pending]:
@@ -462,19 +521,8 @@ def test_service_json_grows_by_the_pending_values_only(tmp_path):
         path = tmp_path / f"service-{pending}.json"
         save_service_checkpoint(service, path)
         sizes[pending] = path.stat().st_size
-        stream_sizes[pending] = len(
-            json.dumps(json.loads(path.read_text())["snapshot"]["stream"])
-        )
     assert service.pending_points == 840
 
-    def per_point(low, high, stream=True):
-        grown = sizes[high] - sizes[low]
-        if not stream:
-            grown -= stream_sizes[high] - stream_sizes[low]
-        return grown / (high - low)
-
-    for low, high in ((0, 168), (168, 672)):
-        assert per_point(low, high, stream=False) <= (
-            BYTES_PER_PENDING_POINT
-        ), (sizes, stream_sizes)
-    assert per_point(672, 840) <= BYTES_PER_PENDING_POINT, sizes
+    for pending in (168, 672, 840):
+        grown = (sizes[pending] - sizes[0]) / pending
+        assert grown <= BYTES_PER_PENDING_POINT, sizes

@@ -11,14 +11,13 @@ Three invariant families from the online-loop rework:
    StreamingDetector) bit-identically to a cold replay, including
    through a JSON round trip — the mechanism behind O(new points)
    retraining and restartable deployments.
-4. A family's array ring of recent values (:class:`ValueRing`)
-   snapshots as the ``deque`` entry it replaced, and a snapshot written
-   while the rings were deques restores.
+4. An array ring of recent values (:class:`ValueRing`) snapshots as
+   the ``deque`` entry it replaced. A bank's one ring of raw values is
+   in no checkpoint: a restore refills it from the values the bank saw.
 """
 
 import json
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +255,25 @@ class TestStreamCheckpoint:
         assert isinstance(json.loads(encoded), dict)
 
 
+def test_fitted_arima_keeps_only_its_recursion_memory():
+    """Once its order is fitted, ARIMA drops the estimation prefix: the
+    stream holds its last ``max(p, q) + 1`` working values and
+    innovations, flat from then on, and still equals batch."""
+    detector = ARIMA(fit_points=120)
+    stream = detector.stream()
+    online, buffered = [], []
+    for value in CHECKPOINT_VALUES:
+        online.append(stream.update(value))
+        buffered.append(stream.buffered_points())
+    np.testing.assert_array_equal(
+        online, detector.severities(ts(CHECKPOINT_VALUES))
+    )
+    assert buffered[:119] == list(range(1, 120))
+    memory = max(stream._order.p, stream._order.q) + 1
+    assert set(buffered[119:]) == {2 * memory}
+    assert stream.snapshot()["_buffer"] == []
+
+
 class TestStreamingDetectorCheckpoint:
     @pytest.fixture(scope="class")
     def fitted(self, labeled_kpi):
@@ -276,7 +294,9 @@ class TestStreamingDetectorCheckpoint:
         checkpoint = json.loads(json.dumps(reference.snapshot()))
         expected = reference.push_many(tail[40:])
 
-        resumed = StreamingDetector(opp, checkpoint=checkpoint)
+        resumed = StreamingDetector(
+            opp, history=series.slice(0, split + 40), checkpoint=checkpoint
+        )
         assert resumed.points_seen == split + 40
         decisions = resumed.push_many(tail[40:])
         np.testing.assert_array_equal(
@@ -285,15 +305,16 @@ class TestStreamingDetectorCheckpoint:
         )
         assert [d.index for d in decisions] == [d.index for d in expected]
 
-    def test_history_and_checkpoint_are_exclusive(self, fitted):
+    def test_checkpoint_needs_its_history(self, fitted):
+        """The checkpoint holds no raw values: a restore needs the
+        series the streams saw, all of it."""
         opp, series, split = fitted
-        streaming = StreamingDetector(opp, history=series.slice(0, split))
-        with pytest.raises(ValueError, match="not both"):
-            StreamingDetector(
-                opp,
-                history=series.slice(0, split),
-                checkpoint=streaming.snapshot(),
-            )
+        checkpoint = StreamingDetector(
+            opp, history=series.slice(0, split)
+        ).snapshot()
+        for history in (None, series.slice(0, split - 1)):
+            with pytest.raises(ValueError, match="series its streams saw"):
+                StreamingDetector(opp, history=history, checkpoint=checkpoint)
 
     def test_bank_mismatch_rejected(self, fitted):
         opp, series, split = fitted
@@ -384,14 +405,10 @@ class TestFitIncremental:
 # ----------------------------------------------------------------------
 # Array rings checkpoint as the deques they replaced.
 # ----------------------------------------------------------------------
-#: The window-bank, SVD and wavelet states of the Table 3 bank on the
-#: hourly test KPI (NaN at points 50..54 and 200) after 120 and 400
-#: points, written by the code whose rings of recent values were
-#: deques (stream checkpoint format v3).
-RINGS_V3 = Path(__file__).parent / "data" / "stream_rings_v3.json"
-
-#: The families whose streams keep rings of recent values.
-RING_FAMILIES = ("window-bank", "svd", "wavelet", "historical", "seasonal-residual")
+#: The families whose streams read the bank's ring of raw values.
+RING_FAMILIES = (
+    "diff", "window-bank", "svd", "wavelet", "historical", "seasonal-residual",
+)
 
 
 def ring_values(series) -> np.ndarray:
@@ -439,46 +456,39 @@ class TestValueRingCheckpoint:
         for value in values[:cut]:
             stream.extract_point(value)
         states = json.loads(json.dumps(stream.snapshot()))
-        resumed = StreamBank(configs).restore(states)
+        resumed = StreamBank(configs).restore(states, values[:cut])
         assert resumed.buffered_points() == stream.buffered_points()
         rows = np.vstack([resumed.extract_point(v) for v in values[cut:]])
         np.testing.assert_array_equal(rows, expected[cut:])
 
+    def test_restore_refills_infinite_values_as_missing(self, hourly_kpi):
+        """The ring refills from the values seen as ``extract_point``
+        stores them: ±inf as a missing point."""
+        values = ring_values(hourly_kpi)
+        values[[100, 380]] = [np.inf, -np.inf]
+        configs = family_configs(hourly_kpi, RING_FAMILIES)
+        twin = StreamBank(configs)
+        for value in values[:400]:
+            twin.extract_point(value)
+        states = json.loads(json.dumps(twin.snapshot()))
+        resumed = StreamBank(configs).restore(states, values[:400])
+        for value in values[400:]:
+            np.testing.assert_array_equal(
+                resumed.extract_point(value), twin.extract_point(value)
+            )
+
     @pytest.mark.parametrize("kind", ["window-bank", "svd", "wavelet"])
     def test_buffered_points_is_the_logical_ring_length(self, hourly_kpi, kind):
-        """The wavelet holds its raw ring plus one detail ring per band;
-        its per-config floors are not buffered points."""
+        """The bank's raw ring, plus the wavelet's one detail ring per
+        band; its per-config floors are not buffered points."""
         values = ring_values(hourly_kpi)
         bank = StreamBank(family_configs(hourly_kpi, (kind,)))
         for count, value in enumerate(values, start=1):
             bank.extract_point(value)
             state = bank.snapshot()[0]
-            rings = (
-                [state["_values"], *state["_details"]] if kind == "wavelet"
-                else [state["_ring"]]
-            )
-            if kind == "wavelet":
-                assert len(rings) == 4
-            held = [min(count, ring["maxlen"]) for ring in rings]
-            assert bank.buffered_points() == sum(held)
-            assert [len(ring["values"]) for ring in rings] == held
-
-    @pytest.mark.parametrize("cut", ["120", "400"])
-    def test_deque_written_rings_restore(self, hourly_kpi, cut):
-        """A snapshot written while the rings were deques restores and
-        resumes like a twin that never stopped, and the array rings
-        write the same snapshot."""
-        written = json.loads(RINGS_V3.read_text())[cut]
-        values = ring_values(hourly_kpi)
-        configs = family_configs(hourly_kpi, ("window-bank", "svd", "wavelet"))
-        twin = StreamBank(configs)
-        for value in values[:int(cut)]:
-            twin.extract_point(value)
-        assert json.dumps(twin.snapshot()) == json.dumps(written)
-
-        restored = StreamBank(configs).restore(written)
-        assert restored.buffered_points() == twin.buffered_points()
-        for value in values[int(cut):]:
-            np.testing.assert_array_equal(
-                restored.extract_point(value), twin.extract_point(value)
-            )
+            details = state.get("_details", [])
+            assert len(details) == (3 if kind == "wavelet" else 0)
+            held = [min(count, ring["maxlen"]) for ring in details]
+            assert [len(ring["values"]) for ring in details] == held
+            raw = min(count, bank._values.maxlen)
+            assert bank.buffered_points() == raw + sum(held)
